@@ -20,7 +20,7 @@ cargo build --release --offline
 echo "=== cargo test -q --offline ==="
 cargo test -q --offline
 
-echo "=== release: differential + parallel + fast-forward + fault + scan equivalence ==="
+echo "=== release: differential + parallel + fast-forward + fault + selection equivalence ==="
 cargo test -q --release --offline -p fqms-memctrl \
   --test differential --test parallel_equivalence \
   --test fast_forward_equivalence --test fault_differential \
@@ -66,6 +66,20 @@ FQMS_RUNLEN=quick FQMS_BENCH_PR7="$FRONTIER_TMP/BENCH_pr7.json" \
   rm -rf "$FRONTIER_TMP"; exit 1; }
 rm -rf "$FRONTIER_TMP"
 echo "frontier smoke gate OK"
+
+echo "=== scaling smoke gate: per-request cost growth + FQ-VFTF fairness ==="
+# The scaling binary exits nonzero when the FQ-VFTF or BLISS per-request
+# scheduler cost grows more than 2x from 64 to 4096 threads on the tiered
+# selection index, or when FQ-VFTF's per-tenant service error exceeds 5%
+# at any scale (see crates/bench/src/bin/scaling.rs).
+SCALING_TMP="$(mktemp -d)"
+FQMS_RUNLEN=quick FQMS_BENCH_PR6="$SCALING_TMP/BENCH_pr6.json" \
+  cargo run --release -q --offline -p fqms-bench --bin scaling \
+  > "$SCALING_TMP/scaling.tsv" 2> "$SCALING_TMP/scaling.log" || {
+  echo "scaling smoke gate FAILED:"; tail -5 "$SCALING_TMP/scaling.log"
+  rm -rf "$SCALING_TMP"; exit 1; }
+rm -rf "$SCALING_TMP"
+echo "scaling smoke gate OK"
 
 echo "=== latency_cdf smoke gate: no WCET violation + conservation ==="
 # The latency_cdf binary exits nonzero when any regulated real-time

@@ -23,7 +23,7 @@ const WATCHDOG: u64 = 300;
 
 fn spec_for(kind: SchedulerKind) -> EngineSpec {
     let mut spec = EngineSpec::paper(1, 3);
-    spec.config.set_scheduler(kind);
+    spec.config.scheduler = kind;
     spec.config.starvation_threshold = Some(WATCHDOG);
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);

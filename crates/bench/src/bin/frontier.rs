@@ -148,7 +148,7 @@ fn adversarial_point(
     label: &str,
 ) -> (Point, usize) {
     let mut spec = EngineSpec::paper(1, 3);
-    spec.config.set_scheduler(scheduler);
+    spec.config.scheduler = scheduler;
     spec.config.starvation_threshold = Some(WATCHDOG);
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);

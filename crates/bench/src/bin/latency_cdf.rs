@@ -206,7 +206,7 @@ fn main() {
     // The four modes: two unregulated baselines, the regulated mode, and
     // the regulated mode under refresh pressure.
     let mut fr = base.clone();
-    fr.config.set_scheduler(SchedulerKind::FrFcfs);
+    fr.config.scheduler = SchedulerKind::FrFcfs;
     let mut regulated = base.clone();
     regulated.config = regulated.config.with_regulation(regulation(Some(bound)));
     let mut faulted = base.clone();

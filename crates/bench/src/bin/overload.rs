@@ -157,7 +157,7 @@ fn run_cell(
     // One retry per head, honouring `retry_after`: gated heads wait out
     // one throttle period then abandon, so every mode fully drains.
     spec.retry = RetryPolicy::bounded(1, 1, 8);
-    spec.config.set_scheduler(scheduler);
+    spec.config.scheduler = scheduler;
     if let Some(ov) = mode.overload() {
         spec.config = spec.config.with_overload(ov);
     }

@@ -1,22 +1,21 @@
 //! Scheduler-scaling study (ISSUE 6 figure): per-request scheduler cost
 //! and hierarchical fairness from 64 to 4096 threads.
 //!
-//! A single-channel FQ-VFTF controller is driven closed-loop — every
-//! thread keeps a fixed window of reads outstanding, refilled on
-//! completion, so the bank queues stay saturated and their depth grows
-//! linearly with the thread count. Each scale runs twice: once with the
-//! O(log n) tournament-heap index (`ScanKind::Indexed`, the default) and
-//! once with the retained linear reference scan (`ScanKind::Linear`).
-//! Both runs produce bit-identical schedules (enforced by the
-//! `select_differential` release gate); this binary measures what they
-//! *cost* and checks that hierarchical fairness holds at every scale.
+//! A single-channel controller is driven closed-loop — every thread keeps
+//! a fixed window of reads outstanding, refilled on completion, so the
+//! bank queues stay saturated and their depth grows linearly with the
+//! thread count. Each scale runs twice on the O(log n) tiered selection
+//! index: once under FQ-VFTF and once under BLISS, whose blacklist tier
+//! moves entries between the index's tiers at runtime. This binary
+//! measures what a scheduling decision *costs* as queues deepen and
+//! checks that FQ-VFTF's hierarchical fairness holds at every scale.
 //!
-//! Emits `BENCH_pr6.json` (schema documented in README.md and
-//! EXPERIMENTS.md, overridable via `FQMS_BENCH_PR6`) and acts as a perf
-//! smoke gate: exits nonzero if the indexed per-request cost grows by
-//! more than 2x from the smallest to the largest scale, or if the
+//! Emits `BENCH_pr6.json` (schema documented in EXPERIMENTS.md,
+//! overridable via `FQMS_BENCH_PR6`) and acts as a perf smoke gate:
+//! exits nonzero if either scheduler's per-request cost grows by more
+//! than 2x from the smallest to the largest scale, or if FQ-VFTF's
 //! per-tenant relative service error versus the phi allocation exceeds
-//! 5% at any scale on the indexed path.
+//! 5% at any scale (BLISS ignores shares, so it is not fairness-gated).
 
 use fqms_bench::{f, header, row, seed};
 use fqms_dram::command::{BankId, ColId, DramAddress, RankId, RowId};
@@ -30,6 +29,17 @@ use std::time::Instant;
 /// Outstanding reads per thread. Small enough that the per-thread buffer
 /// partition never NACKs, large enough that every bank queue is deep.
 const WINDOW: u32 = 2;
+
+/// Timed repetitions per (scale, scheduler) point; the median is kept.
+/// Repetitions sweep the whole grid in turn, so a burst of host noise
+/// hits one repetition of many points rather than every repetition of
+/// one. The median, not the minimum: on a shared host the minimum of a
+/// cache-resident small scale drops further with every repetition than
+/// that of a cache-missing large one, inflating the growth ratio.
+const REPS: usize = 3;
+
+/// The schedulers each scale runs under.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::FqVftf, SchedulerKind::Bliss];
 
 /// Threads per tenant in the symmetric share tree (64 threads → 4
 /// tenants, 4096 threads → 256 tenants).
@@ -87,10 +97,14 @@ fn scale_tree(threads: usize) -> ShareTree {
 /// Sizing the run as a fixed number of rounds makes the fairness gate
 /// scale-invariant instead of drowning large scales in partial-round
 /// quantization.
-fn run_scale(threads: usize, target: u64, scan: ScanKind, master_seed: u64) -> ScaleResult {
+fn run_scale(
+    threads: usize,
+    target: u64,
+    scheduler: SchedulerKind,
+    master_seed: u64,
+) -> ScaleResult {
     let tree = scale_tree(threads);
-    let mut config = McConfig::hierarchical(SchedulerKind::FqVftf, tree.clone());
-    config.scan = scan;
+    let config = McConfig::hierarchical(scheduler, tree.clone());
     let geometry = Geometry::paper();
     let mut mc = MemoryController::new(config, geometry, TimingParams::ddr2_800())
         .unwrap_or_else(|e| panic!("scaling: invalid config at {threads} threads: {e}"));
@@ -101,7 +115,7 @@ fn run_scale(threads: usize, target: u64, scan: ScanKind, master_seed: u64) -> S
     // backlogged at its bank*, which is the regime where per-bank virtual
     // finish ordering delivers service proportional to phi; it also makes
     // each bank queue's depth grow linearly with the thread count, which
-    // is exactly the load the linear scan degrades on. (Scattering
+    // is exactly the load an O(n) scan would degrade on. (Scattering
     // requests over random banks instead would leave each thread absent
     // from most banks most of the time, and a window of 2 cannot keep
     // per-bank backlog — service then compresses toward equal regardless
@@ -171,109 +185,155 @@ fn run_scale(threads: usize, target: u64, scan: ScanKind, master_seed: u64) -> S
     }
 }
 
+/// One timed measurement of a point: `runs` back-to-back identical runs,
+/// reported as their per-run average. Scaling `runs` inversely with the
+/// thread count gives every point the same number of requests per
+/// measurement, so a millisecond-long small-scale run is not compared
+/// against a second-long large-scale one (a short run can land in a
+/// quiet window of host noise that a long run always averages over).
+fn measure(
+    threads: usize,
+    target: u64,
+    scheduler: SchedulerKind,
+    seed: u64,
+    runs: usize,
+) -> ScaleResult {
+    let mut r = run_scale(threads, target, scheduler, seed);
+    for _ in 1..runs {
+        let again = run_scale(threads, target, scheduler, seed);
+        assert_eq!(
+            (again.completed, again.cycles),
+            (r.completed, r.cycles),
+            "{threads} threads: {scheduler} runs diverged"
+        );
+        r.wall_s += again.wall_s;
+    }
+    r.wall_s /= runs as f64;
+    r.cost_us = r.wall_s * 1e6 / r.completed as f64;
+    r
+}
+
 fn main() {
     let _run_log = fqms_bench::RunLog::new();
     let seed = seed();
     // Horizon in service rounds (window refills per thread). The
     // intrinsic FQ unfairness is one partial round, so the expected
     // relative error is ~0.5/rounds — comfortably under the 5% gate at
-    // every setting below. The linear reference runs the identical
-    // schedule; its cost is normalized per completed request, so shared
-    // horizons keep the comparison honest while bounding the O(n)-scan
-    // wall clock.
+    // every setting below.
     let rounds: u64 = match std::env::var("FQMS_RUNLEN").as_deref() {
         Ok("quick") => 32,
         Ok("full") => 96,
         _ => 48,
     };
 
-    println!("== FQ-VFTF scheduler scaling: indexed heap vs linear scan ==");
+    println!("== scheduler scaling on the tiered selection index: FQ-VFTF and BLISS ==");
     header(&[
         "threads",
         "tenants",
         "cycles",
-        "indexed_us_per_req",
-        "linear_us_per_req",
-        "linear_over_indexed",
-        "indexed_rel_err",
-        "linear_rel_err",
+        "fq_us_per_req",
+        "fq_rel_err",
+        "bliss_cycles",
+        "bliss_us_per_req",
     ]);
 
     let scales = [64usize, 256, 1024, 4096];
+    // reps[scale][scheduler]: every repetition. The schedule is
+    // deterministic, so every repetition must serve the same cycles.
+    let mut reps: Vec<Vec<Vec<ScaleResult>>> = scales
+        .iter()
+        .map(|_| SCHEDULERS.iter().map(|_| Vec::new()).collect())
+        .collect();
+    for _ in 0..REPS {
+        for (&threads, points) in scales.iter().zip(&mut reps) {
+            let target = rounds * threads as u64 * u64::from(WINDOW);
+            let runs = scales[scales.len() - 1] / threads;
+            for (&scheduler, point) in SCHEDULERS.iter().zip(points.iter_mut()) {
+                let r = measure(threads, target, scheduler, seed, runs);
+                if let Some(first) = point.first() {
+                    assert_eq!(
+                        (r.completed, r.cycles),
+                        (first.completed, first.cycles),
+                        "{threads} threads: {scheduler} repetitions diverged"
+                    );
+                }
+                point.push(r);
+            }
+        }
+    }
+    let median = |mut point: Vec<ScaleResult>| {
+        point.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
+        point.swap_remove(point.len() / 2)
+    };
+
     let mut entries = Vec::new();
-    let mut indexed_costs = Vec::new();
+    let mut fq_costs = Vec::new();
+    let mut bliss_costs = Vec::new();
     let mut fairness_failed = false;
-    for &threads in &scales {
-        let target = rounds * threads as u64 * u64::from(WINDOW);
-        let indexed = run_scale(threads, target, ScanKind::Indexed, seed);
-        let linear = run_scale(threads, target, ScanKind::Linear, seed);
-        assert_eq!(
-            (indexed.completed, indexed.cycles),
-            (linear.completed, linear.cycles),
-            "{threads} threads: scan kinds diverged on the serviced schedule"
-        );
-        if indexed.max_rel_err > 0.05 {
+    for (&threads, points) in scales.iter().zip(reps) {
+        let [fq, bliss] = <[Vec<ScaleResult>; 2]>::try_from(points)
+            .ok()
+            .expect("one point per scheduler")
+            .map(median);
+        if fq.max_rel_err > 0.05 {
             eprintln!(
-                "FAIRNESS GATE FAILED: {threads} threads: tenant service error \
-                 {:.4} exceeds 5% on the indexed path",
-                indexed.max_rel_err
+                "FAIRNESS GATE FAILED: {threads} threads: FQ-VFTF tenant service \
+                 error {:.4} exceeds 5%",
+                fq.max_rel_err
             );
             fairness_failed = true;
         }
         row(&[
             threads.to_string(),
             (threads / THREADS_PER_TENANT).to_string(),
-            indexed.cycles.to_string(),
-            f(indexed.cost_us),
-            f(linear.cost_us),
-            f(linear.cost_us / indexed.cost_us),
-            f(indexed.max_rel_err),
-            f(linear.max_rel_err),
+            fq.cycles.to_string(),
+            f(fq.cost_us),
+            f(fq.max_rel_err),
+            bliss.cycles.to_string(),
+            f(bliss.cost_us),
         ]);
-        indexed_costs.push(indexed.cost_us);
+        fq_costs.push(fq.cost_us);
+        bliss_costs.push(bliss.cost_us);
+        let run_json = |r: &ScaleResult| {
+            format!(
+                concat!(
+                    "{{\"cycles\": {}, \"completed\": {}, \"wall_s\": {:.6}, ",
+                    "\"us_per_request\": {:.4}, \"max_rel_service_err\": {:.6}, ",
+                    "\"max_rel_thread_err\": {:.6}}}"
+                ),
+                r.cycles, r.completed, r.wall_s, r.cost_us, r.max_rel_err, r.max_thread_err,
+            )
+        };
         entries.push(format!(
-            concat!(
-                "    {{\"threads\": {}, \"tenants\": {}, \"cycles\": {}, ",
-                "\"completed\": {}, ",
-                "\"indexed\": {{\"wall_s\": {:.6}, \"us_per_request\": {:.4}, ",
-                "\"max_rel_service_err\": {:.6}, \"max_rel_thread_err\": {:.6}}}, ",
-                "\"linear\": {{\"wall_s\": {:.6}, \"us_per_request\": {:.4}, ",
-                "\"max_rel_service_err\": {:.6}, \"max_rel_thread_err\": {:.6}}}}}"
-            ),
+            "    {{\"threads\": {}, \"tenants\": {}, \"fq_vftf\": {}, \"bliss\": {}}}",
             threads,
             threads / THREADS_PER_TENANT,
-            indexed.cycles,
-            indexed.completed,
-            indexed.wall_s,
-            indexed.cost_us,
-            indexed.max_rel_err,
-            indexed.max_thread_err,
-            linear.wall_s,
-            linear.cost_us,
-            linear.max_rel_err,
-            linear.max_thread_err,
+            run_json(&fq),
+            run_json(&bliss),
         ));
     }
 
-    let cost_ratio = indexed_costs.last().unwrap() / indexed_costs.first().unwrap();
+    let ratio = |costs: &[f64]| costs.last().unwrap() / costs.first().unwrap();
+    let fq_ratio = ratio(&fq_costs);
+    let bliss_ratio = ratio(&bliss_costs);
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"pr6_scaling\",\n  \"seed\": {},\n",
             "  \"workload\": {{\"generator\": \"closed_loop_bank_camping\", ",
             "\"window\": {}, \"kind\": \"read\"}},\n",
-            "  \"controller\": {{\"scheduler\": \"FQ-VFTF\", \"channels\": 1, ",
+            "  \"controller\": {{\"schedulers\": [\"FQ-VFTF\", \"BLISS\"], \"channels\": 1, ",
             "\"geometry\": \"paper\", \"timing\": \"ddr2_800\", ",
             "\"threads_per_tenant\": {}}},\n",
             "  \"scales\": [\n{}\n  ],\n",
-            "  \"gates\": {{\"indexed_cost_ratio\": {:.4}, ",
-            "\"indexed_cost_ratio_max\": 2.0, ",
-            "\"fairness_err_max\": 0.05}}\n}}\n"
+            "  \"gates\": {{\"fq_cost_ratio\": {:.4}, \"bliss_cost_ratio\": {:.4}, ",
+            "\"cost_ratio_max\": 2.0, \"fq_fairness_err_max\": 0.05}}\n}}\n"
         ),
         seed,
         WINDOW,
         THREADS_PER_TENANT,
         entries.join(",\n"),
-        cost_ratio,
+        fq_ratio,
+        bliss_ratio,
     );
     let path = std::env::var("FQMS_BENCH_PR6").unwrap_or_else(|_| "BENCH_pr6.json".to_string());
     match fqms_sim::snapshot::write_atomic(std::path::Path::new(&path), json.as_bytes()) {
@@ -281,16 +341,19 @@ fn main() {
         Err(e) => eprintln!("scaling: cannot write {path}: {e}"),
     }
 
-    if cost_ratio > 2.0 {
-        eprintln!(
-            "PERF SMOKE FAILED: indexed per-request cost grew {cost_ratio:.2}x \
-             from {} to {} threads (gate: 2x)",
-            scales[0],
-            scales[scales.len() - 1]
-        );
-        std::process::exit(1);
+    let mut failed = fairness_failed;
+    for (name, cost_ratio) in [("FQ-VFTF", fq_ratio), ("BLISS", bliss_ratio)] {
+        if cost_ratio > 2.0 {
+            eprintln!(
+                "PERF SMOKE FAILED: {name} per-request cost grew {cost_ratio:.2}x \
+                 from {} to {} threads (gate: 2x)",
+                scales[0],
+                scales[scales.len() - 1]
+            );
+            failed = true;
+        }
     }
-    if fairness_failed {
+    if failed {
         std::process::exit(1);
     }
 }

@@ -113,7 +113,7 @@ fn fast_forward_study(gen_cycles: u64, seed: u64, hw: usize) {
     let mut smoke_failed = false;
     for kind in fqms_bench::paper_schedulers() {
         let mut spec = EngineSpec::paper(4, 4);
-        spec.config.set_scheduler(kind);
+        spec.config.scheduler = kind;
         spec.max_cycles = 64 * gen_cycles;
         spec.event_capacity = Some(1 << 12);
         spec.fast_forward = false;
@@ -228,9 +228,7 @@ fn fast_forward_study(gen_cycles: u64, seed: u64, hw: usize) {
 }
 
 /// The PR8 engine sweep: free-running parallel vs serial across
-/// 4→64 channels × 1→8 worker threads, `cycles_per_sec` at every point,
-/// plus a lockstep-executor column so the cost the free-run executor
-/// removed (two barrier crossings per epoch per worker) stays visible.
+/// 4→64 channels × 1→8 worker threads, `cycles_per_sec` at every point.
 ///
 /// Gate: at every ≥2-thread point, min-of-`reps` parallel time must not
 /// exceed min-of-`reps` serial time by more than `rel_tol`/`abs_tol_s`.
@@ -252,7 +250,6 @@ fn engine_sweep(
         "requests",
         "sim_cycles",
         "serial_s",
-        "lockstep_s",
         "parallel_s",
         "speedup",
         "cycles_per_sec_serial",
@@ -279,15 +276,6 @@ fn engine_sweep(
             fqms::sidecar::append(&label, kind, &obs.metrics);
             sidecar_json.push(metrics_json(&label, kind, &obs.metrics));
         }
-        // The lockstep executor is the PR 1 reference: same shards, same
-        // windows, but a two-phase barrier every epoch. Timed once (it is
-        // diagnostic, not gated) and checked bit-identical.
-        let (lockstep, lockstep_s) = secs(|| {
-            simulate_parallel_lockstep(&spec, &events, 2).unwrap_or_else(|e| {
-                panic!("speedup: invalid {channels}-channel lockstep spec (seed {seed}): {e}")
-            })
-        });
-        assert_eq!(serial, lockstep, "lockstep run diverged from serial");
         let cps_serial = serial.cycles as f64 / serial_s;
         let mut thread_entries = Vec::new();
         for threads in [1usize, 2, 4, 8] {
@@ -343,11 +331,6 @@ fn engine_sweep(
                 events.len().to_string(),
                 serial.cycles.to_string(),
                 f(serial_s),
-                if threads == 2 {
-                    f(lockstep_s)
-                } else {
-                    "-".to_string()
-                },
                 f(parallel_s),
                 f(serial_s / parallel_s),
                 format!("{cps_serial:.0}"),
@@ -369,15 +352,14 @@ fn engine_sweep(
         channel_entries.push(format!(
             concat!(
                 "    {{\"channels\": {}, \"requests\": {}, \"sim_cycles\": {}, ",
-                "\"serial_s\": {:.6}, \"cycles_per_sec_serial\": {:.0}, ",
-                "\"lockstep_2t_s\": {:.6},\n      \"threads\": [\n{}\n      ]}}"
+                "\"serial_s\": {:.6}, \"cycles_per_sec_serial\": {:.0},\n",
+                "      \"threads\": [\n{}\n      ]}}"
             ),
             channels,
             events.len(),
             serial.cycles,
             serial_s,
             cps_serial,
-            lockstep_s,
             thread_entries.join(",\n"),
         ));
     }
@@ -425,7 +407,7 @@ fn free_run_qos_study(gen_cycles: u64, seed: u64, hw: usize) -> (String, f64) {
     let mut max_speedup = 0.0f64;
     for kind in fqms_bench::paper_schedulers() {
         let mut spec = EngineSpec::paper(channels, 4);
-        spec.config.set_scheduler(kind);
+        spec.config.scheduler = kind;
         spec.max_cycles = 64 * gen_cycles;
         spec.event_capacity = Some(1 << 12);
         spec.fast_forward = false;

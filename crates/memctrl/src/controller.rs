@@ -27,12 +27,10 @@ use crate::buffers::{Nack, ThreadBuffers};
 use crate::cmdlog::{CommandLog, CommandRecord};
 use crate::config::McConfig;
 use crate::overload::OverloadState;
-use crate::policy::{
-    BufferSharing, Priority, RefreshPolicy, RowPolicy, ScanKind, SchedulerKind, VftBinding,
-};
+use crate::policy::{BufferSharing, Priority, RefreshPolicy, RowPolicy, SchedulerKind, VftBinding};
 use crate::regulate::RegulatorState;
 use crate::request::{MemoryRequest, RequestId, RequestKind, ThreadId};
-use crate::select::{BankQueue, Pending};
+use crate::select::{BankQueue, Pending, SelKey};
 use crate::slowdown::SlowdownEstimator;
 use crate::stats::McStats;
 use crate::vtms::{bank_service, Vtms};
@@ -70,7 +68,7 @@ impl Completion {
 }
 
 /// A command proposed by a bank scheduler to the channel scheduler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Proposal {
     cmd: Command,
     prio: Priority,
@@ -184,8 +182,7 @@ pub struct MemoryController {
     dram: DramDevice,
     map: AddressMap,
     /// Pending request queue per global bank (admission order preserved,
-    /// plus the indexed-selection structures when `config.scan` asks for
-    /// them — see [`crate::select`]).
+    /// plus the tiered selection index — see [`crate::select`]).
     queues: Vec<BankQueue>,
     buffers: Vec<ThreadBuffers>,
     vtms: Vec<Vtms>,
@@ -290,7 +287,6 @@ impl MemoryController {
             tripped: vec![false; config.num_threads()],
             next_due: 0,
         });
-        let indexed = config.scan == ScanKind::Indexed;
         let vftf = config.scheduler.uses_vftf();
         let slowdown = SlowdownEstimator::new(config.num_threads());
         let bliss = (config.scheduler == SchedulerKind::Bliss).then(|| {
@@ -308,7 +304,7 @@ impl MemoryController {
         Ok(MemoryController {
             map: AddressMap::new(geometry, config.line_bytes),
             dram: DramDevice::new(geometry, timing),
-            queues: vec![BankQueue::new(indexed, vftf); total_banks],
+            queues: vec![BankQueue::new(vftf); total_banks],
             buffers,
             vtms,
             inflight_reads: Vec::new(),
@@ -728,11 +724,15 @@ impl MemoryController {
         } else {
             None
         };
-        self.queues[bank_idx].push(Pending {
-            req,
-            vft,
-            ras_issued: 0,
-        });
+        let tier = SchedCtx::tiers(self.bliss.as_ref(), self.regulate.as_ref()).tier(thread);
+        self.queues[bank_idx].push(
+            Pending {
+                req,
+                vft,
+                ras_issued: 0,
+            },
+            tier,
+        );
         self.queued += 1;
         self.occupied.insert(bank_idx);
         self.bank_cache[bank_idx].valid = false;
@@ -1003,25 +1003,23 @@ impl MemoryController {
         }
         // BLISS clearing interval: wipe blacklist flags at every elapsed
         // boundary *before* scheduling, so the boundary cycle already
-        // schedules with a clean slate. A wipe changes the tier bits the
-        // memoized proposals were ranked under, so every bank cache drops.
-        if let Some(b) = self.bliss.as_mut() {
-            if b.maybe_clear(now.as_u64()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
+        // schedules with a clean slate.
+        if self
+            .bliss
+            .as_mut()
+            .is_some_and(|b| b.maybe_clear(now.as_u64()))
+        {
+            self.tiers_changed();
         }
         // Regulator replenish boundary: refill every token bucket before
         // scheduling, so the boundary cycle already schedules with the
-        // restored tiers. A refill can promote a demoted thread, changing
-        // the tier bits memoized proposals were ranked under.
-        if let Some(rg) = self.regulate.as_mut() {
-            if rg.maybe_replenish(now.as_u64()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
+        // restored tiers (a refill can promote a demoted thread).
+        if self
+            .regulate
+            .as_mut()
+            .is_some_and(|rg| rg.maybe_replenish(now.as_u64()))
+        {
+            self.tiers_changed();
         }
         // Overload boundaries: refill admission tokens / reclassify hogs,
         // and walk the saturation ladder — before scheduling, so the
@@ -1071,6 +1069,18 @@ impl MemoryController {
                 true
             }
             None => false,
+        }
+    }
+
+    /// A BLISS or regulator transition changed some thread's priority
+    /// tier: move the affected keyed entries to their new tier in every
+    /// bank index, and drop every memoized proposal (each was ranked
+    /// under the old tiers).
+    fn tiers_changed(&mut self) {
+        let ctx = SchedCtx::tiers(self.bliss.as_ref(), self.regulate.as_ref());
+        for (q, cache) in self.queues.iter_mut().zip(&mut self.bank_cache) {
+            q.retier(|t| ctx.tier(t));
+            cache.valid = false;
         }
     }
 
@@ -1365,11 +1375,9 @@ impl MemoryController {
         let geometry = *self.dram.geometry();
         let kind = self.config.scheduler;
         let inversion = self.inversion_cycles;
-        let scan = self.config.scan;
         let ctx = SchedCtx {
-            blacklist: self.bliss.as_ref().map(BlissState::blacklist),
             est: (kind == SchedulerKind::SdVftf).then_some(&self.slowdown),
-            reg: self.regulate.as_ref(),
+            ..SchedCtx::tiers(self.bliss.as_ref(), self.regulate.as_ref())
         };
 
         // Masked sweep: a bank outside `occupied ∪ open` has an empty
@@ -1436,10 +1444,6 @@ impl MemoryController {
                 if cache.valid && cache.ready == ready && cache.locked == lock.is_some() {
                     cache.proposal
                 } else {
-                    let propose = match scan {
-                        ScanKind::Linear => propose_linear::<O>,
-                        ScanKind::Indexed => propose_indexed::<O>,
-                    };
                     let proposal = propose(
                         &mut self.queues[bank_idx],
                         ready,
@@ -1552,11 +1556,8 @@ impl MemoryController {
             );
         }
         if !p.cmd.is_cas() {
-            // RAS command: request stays queued for its CAS. `ras_issued`
-            // is not a selection key, so the in-place update is safe on
-            // the indexed queue.
-            let e = self.queues[bank_idx].get_mut(slot);
-            e.ras_issued = e.ras_issued.saturating_add(1);
+            // RAS command: request stays queued for its CAS.
+            self.queues[bank_idx].note_ras(slot);
             return;
         }
         // CAS issued: the request leaves the bank queue.
@@ -1565,25 +1566,18 @@ impl MemoryController {
         if self.queues[bank_idx].is_empty() {
             self.occupied.remove(bank_idx);
         }
-        // BLISS counts one bank service per CAS. A threshold crossing
-        // flips a blacklist flag, which changes the tier bits every
-        // memoized proposal was ranked under: drop all bank caches.
-        if let Some(b) = self.bliss.as_mut() {
-            if b.record_service(req.thread.as_u32()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
-        }
-        // The regulator also counts one bank service per CAS. Exhausting a
-        // bucket demotes the thread to the best-effort tier, which changes
-        // the tier bits every memoized proposal was ranked under.
-        if let Some(rg) = self.regulate.as_mut() {
-            if rg.consume(req.thread.as_u32()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
+        // BLISS counts one bank service per CAS; a threshold crossing
+        // blacklists the thread. The regulator also counts one bank
+        // service per CAS; exhausting a bucket demotes the thread to the
+        // best-effort tier.
+        let thread = req.thread.as_u32();
+        let blacklisted = self
+            .bliss
+            .as_mut()
+            .is_some_and(|b| b.record_service(thread));
+        let demoted = self.regulate.as_mut().is_some_and(|rg| rg.consume(thread));
+        if blacklisted || demoted {
+            self.tiers_changed();
         }
         let ts = self.stats.thread_mut(req.thread);
         ts.bus_busy_cycles += timing.burst;
@@ -1733,8 +1727,8 @@ pub(crate) fn get_completion(r: &mut SectionReader<'_>) -> Result<Completion, Sn
 ///   and the `BankQueue` index structures (row-group heaps, tournament
 ///   tree, unbound list): re-pushing the serialized admission-order entries
 ///   reconstructs them, and the exactness argument in [`crate::select`]
-///   guarantees the rebuilt (renumbered) layout selects identically. The
-///   queue byte format is therefore independent of [`ScanKind`].
+///   guarantees the rebuilt (renumbered) layout selects identically. Tier
+///   placement is re-derived from the restored BLISS and regulator state.
 impl Snapshot for MemoryController {
     fn save(&self, w: &mut SectionWriter) {
         self.dram.save(w);
@@ -1822,8 +1816,11 @@ impl Snapshot for MemoryController {
         for q in &mut self.queues {
             let len = r.seq_len()?;
             q.clear();
+            // Tier placement is derived state: entries land in tier 0
+            // here and move once the BLISS and regulator state below are
+            // read (`tiers_changed` at the end).
             for _ in 0..len {
-                q.push(get_pending(r)?);
+                q.push(get_pending(r)?, 0);
             }
             queued += len;
         }
@@ -1965,8 +1962,9 @@ impl Snapshot for MemoryController {
             ov.restore(r)?;
         }
         // Derived occupancy counters are recomputed from the restored
-        // structures (cheaper to re-derive than to cross-validate), and
-        // the scheduler memo is dropped: the first post-resume pass
+        // structures (cheaper to re-derive than to cross-validate), tier
+        // placement is rebuilt from the restored BLISS / regulator state,
+        // and the scheduler memo is dropped: the first post-resume pass
         // recomputes every proposal from live state.
         self.queued = queued;
         self.occupied.clear();
@@ -1977,9 +1975,7 @@ impl Snapshot for MemoryController {
         }
         self.tx_used = self.buffers.iter().map(|b| b.transactions_used()).sum();
         self.wr_used = self.buffers.iter().map(|b| b.writes_used()).sum();
-        for cache in &mut self.bank_cache {
-            cache.valid = false;
-        }
+        self.tiers_changed();
         Ok(())
     }
 }
@@ -2026,14 +2022,10 @@ fn classify(p: &Pending, open_row: Option<RowId>, ready: ReadyClasses) -> (bool,
     }
 }
 
-/// Slowdown-aware scheduler context threaded through both scan paths (the
-/// signatures must match for the fn-pointer dispatch in
-/// `schedule_normal`).
+/// Scheduler context threaded into the bank scheduler.
 ///
-/// * `blacklist` is `Some` exactly when BLISS is active: blacklisted
-///   threads rank at [`Priority`] tier 1 (Linear-only — `McConfig`
-///   rejects BLISS with `ScanKind::Indexed`, whose static-key heaps
-///   cannot express a dynamic tier).
+/// * `bliss` is `Some` exactly when BLISS is active: blacklisted threads
+///   rank at [`Priority`] tier 1.
 /// * `est` is `Some` exactly when SD-VFTF is active: VFT keys are
 ///   divided by the thread's current slowdown estimate at bind time, so
 ///   the most-slowed-down thread sorts first. Keys are static once bound
@@ -2043,34 +2035,53 @@ fn classify(p: &Pending, open_row: Option<RowId>, ready: ReadyClasses) -> (bool,
 ///   threads that are not in budget (best-effort classes and exhausted
 ///   real-time buckets) rank at tier 1, so every in-budget real-time
 ///   request beats every best-effort request at both the bank and channel
-///   schedulers (Linear-only, like BLISS).
+///   schedulers.
 #[derive(Clone, Copy)]
 struct SchedCtx<'a> {
-    blacklist: Option<&'a [bool]>,
+    bliss: Option<&'a BlissState>,
     est: Option<&'a SlowdownEstimator>,
     reg: Option<&'a RegulatorState>,
 }
 
-impl SchedCtx<'_> {
+impl<'a> SchedCtx<'a> {
+    /// A context carrying only the tier sources.
+    fn tiers(bliss: Option<&'a BlissState>, reg: Option<&'a RegulatorState>) -> Self {
+        SchedCtx {
+            bliss,
+            est: None,
+            reg,
+        }
+    }
+
     /// The priority tier of `thread`: 1 when BLISS-blacklisted or outside
     /// its real-time budget, else 0. BLISS and regulation are mutually
     /// exclusive (`McConfig::validate`), so at most one source demotes.
     fn tier(&self, thread: ThreadId) -> u8 {
         u8::from(
-            self.blacklist.is_some_and(|bl| bl[thread.as_usize()])
+            self.bliss
+                .is_some_and(|b| b.is_blacklisted(thread.as_u32()))
                 || self.reg.is_some_and(|r| !r.in_budget(thread.as_u32())),
         )
     }
 }
 
-/// The linear-scan bank scheduler (the retained reference path,
-/// `ScanKind::Linear`; free function so the borrow of the queue is
+/// The bank scheduler (free function so the borrow of the queue is
 /// disjoint from the device and VTMS borrows). The caller has already
 /// probed bank-level readiness (`ready`) and FQ lock engagement (`lock`,
 /// `Some(active_for)` when the inversion bound has tripped); the queue is
 /// non-empty.
+///
+/// Priority order is `(ready, tier, cas, key, id)` ([`Priority`]).
+/// Structure: first a *bind pre-pass* performs the lazy VFT bindings of
+/// this evaluation — visiting still-unkeyed entries in admission order,
+/// across both tiers, and binding those that are ranking candidates
+/// (every entry under the FQ lock; the class-ready ones otherwise) — so
+/// the `VftBound` event stream follows admission order. Then the winner
+/// is read from the tiered index in O(log n) (see the exactness argument
+/// in [`crate::select`]). In debug builds every pick is checked against
+/// [`propose_reference`], the O(n) linear ranking.
 #[allow(clippy::too_many_arguments)]
-fn propose_linear<O: Observer>(
+fn propose<O: Observer>(
     queue: &mut BankQueue,
     ready: ReadyClasses,
     lock: Option<u64>,
@@ -2107,159 +2118,6 @@ fn propose_linear<O: Observer>(
                     active_for,
                 });
             }
-            let mut best: Option<(u32, f64, RequestId)> = None;
-            for i in 0..queue.order_len() {
-                let Some(slot) = queue.order_slot(i) else {
-                    continue;
-                };
-                let key = bind_vft(
-                    queue.get_mut(slot),
-                    ctx.est,
-                    vtms,
-                    bank_idx,
-                    open_row,
-                    timing,
-                    now,
-                    obs,
-                );
-                let id = queue.get(slot).req.id;
-                match best {
-                    Some((_, bk, bid)) if (bk, bid) <= (key, id) => {}
-                    _ => best = Some((slot, key, id)),
-                }
-            }
-            let (slot, key, id) = best.expect("non-empty queue");
-            let winner = queue.get(slot).req.thread;
-            let cmd = next_command(&queue.get(slot).req, open_row, rank, bank);
-            if ready.allows(&cmd) {
-                // The locked pick keeps its thread's tier at the channel
-                // scheduler: a no-op for plain FQ-VFTF (no tier source is
-                // active there), but essential under regulation — a locked
-                // best-effort pick must not outrank a ready in-budget
-                // real-time command from another bank, or the WCET
-                // channel-interference term would be unsound.
-                return Some(Proposal {
-                    cmd,
-                    prio: Priority {
-                        ready: true,
-                        tier: ctx.tier(winner),
-                        cas: cmd.is_cas(),
-                        key,
-                        id,
-                    },
-                    source: Some((bank_idx, slot as usize)),
-                });
-            }
-            return None; // wait: do not let lower-priority work chain
-        }
-    }
-
-    // First-ready scheduling: consider every pending request (FCFS
-    // ablation: only the oldest). Rank candidates by *bank-level*
-    // readiness — the bank scheduler only tracks its own bank's timing.
-    // The selected command is presented to the channel scheduler even if
-    // the channel will reject it this cycle: lower-priority pending work
-    // cannot bypass it (the first-ready chaining behaviour of Section
-    // 3.3).
-    //
-    // Bank-level readiness depends only on the command *class* at this
-    // bank (CAS read, CAS write, precharge, activate) — never on the row
-    // or column — so one probe per class replaces a probe per pending
-    // request and the scan reduces to a row-compare plus a key compare
-    // per request: the channel arbitration step is O(banks), not
-    // O(requests).
-    let mut best: Option<(Priority, u32)> = None;
-    let mut seen = 0usize;
-    for i in 0..queue.order_len() {
-        let Some(slot) = queue.order_slot(i) else {
-            continue;
-        };
-        seen += 1;
-        if seen > 1 && !kind.uses_first_ready() {
-            break; // FCFS ablation: only the oldest request competes
-        }
-        let p = *queue.get(slot);
-        let (class_ready, cas) = classify(&p, open_row, ready);
-        if !class_ready {
-            continue;
-        }
-        let key = if kind.uses_vftf() {
-            bind_vft(
-                queue.get_mut(slot),
-                ctx.est,
-                vtms,
-                bank_idx,
-                open_row,
-                timing,
-                now,
-                obs,
-            )
-        } else {
-            p.req.arrival.as_f64()
-        };
-        let prio = Priority {
-            ready: true,
-            tier: ctx.tier(p.req.thread),
-            cas,
-            key,
-            id: p.req.id,
-        };
-        if best.as_ref().is_none_or(|(b, _)| prio < *b) {
-            best = Some((prio, slot));
-        }
-    }
-    best.map(|(prio, slot)| Proposal {
-        cmd: next_command(&queue.get(slot).req, open_row, rank, bank),
-        prio,
-        source: Some((bank_idx, slot as usize)),
-    })
-}
-
-/// The index-backed bank scheduler (`ScanKind::Indexed`): identical
-/// selection to [`propose_linear`] (see the exactness argument in
-/// [`crate::select`]) in O(log n).
-///
-/// Structure: first a *bind pre-pass* replays exactly the lazy VFT
-/// bindings the linear scan would have performed this evaluation —
-/// visiting still-unkeyed entries in admission order and binding those
-/// that are ranking candidates (every entry under the FQ lock; the
-/// class-ready ones otherwise) — so the `VftBound` event stream is
-/// bit-identical. Then the winner is read from the index: the open-row
-/// group's heap minimum for CAS hits (gated per kind), the tournament
-/// minimum excluding that group for the precharge candidate, or the
-/// global tournament minimum for a closed bank / the locked pick.
-#[allow(clippy::too_many_arguments)]
-fn propose_indexed<O: Observer>(
-    queue: &mut BankQueue,
-    ready: ReadyClasses,
-    lock: Option<u64>,
-    ctx: SchedCtx<'_>,
-    vtms: &[Vtms],
-    kind: SchedulerKind,
-    bank_idx: usize,
-    rank: RankId,
-    bank: BankId,
-    open_row: Option<RowId>,
-    now: DramCycle,
-    timing: &TimingParams,
-    lock_armed: &mut bool,
-    obs: &mut O,
-) -> Option<Proposal> {
-    debug_assert!(!queue.is_empty());
-
-    if kind.uses_fq_bank_scheduler() {
-        if O::ENABLED && lock.is_none() {
-            *lock_armed = false;
-        }
-        if let Some(active_for) = lock {
-            if O::ENABLED && !*lock_armed {
-                *lock_armed = true;
-                obs.on_event(&Event::InversionLock {
-                    cycle: now.as_u64(),
-                    bank: bank_idx as u32,
-                    active_for,
-                });
-            }
         }
     }
 
@@ -2267,145 +2125,209 @@ fn propose_indexed<O: Observer>(
         let locked = lock.is_some();
         queue.drain_unbound(|p| {
             // Under the FQ lock every entry is ranked (and therefore
-            // bound); otherwise only class-ready candidates are — the
-            // same set, in the same admission order, as the linear scan
-            // binds lazily.
+            // bound); otherwise only class-ready candidates are.
             if !locked && !classify(p, open_row, ready).0 {
                 return None;
             }
-            let state = match open_row {
-                Some(r) => fqms_dram::bank::BankState::Open(r),
-                None => fqms_dram::bank::BankState::Closed,
-            };
-            let svc = bank_service(state, p.req.addr.row, timing);
-            let mut v = vtms[p.req.thread.as_usize()].virtual_finish_time(
-                p.req.arrival,
-                bank_idx,
-                svc,
-                timing.burst,
-            );
-            // SD-VFTF: the *scaled* key is what is stored and indexed —
-            // identical to the linear path's `bind_vft`.
-            if let Some(e) = ctx.est {
-                v /= e.slowdown(p.req.thread.as_u32());
-            }
-            if O::ENABLED {
-                obs.on_event(&Event::VftBound {
-                    cycle: now.as_u64(),
-                    thread: p.req.thread.as_u32(),
-                    id: p.req.id.as_u64(),
-                    vft: v,
-                });
-            }
-            Some(v)
+            let v = bind_vft(p, ctx.est, vtms, bank_idx, open_row, timing, now, obs);
+            Some((v, ctx.tier(p.req.thread)))
         });
     }
 
-    if lock.is_some() {
+    let proposal = select(
+        queue,
+        ready,
+        lock.is_some(),
+        kind,
+        bank_idx,
+        rank,
+        bank,
+        open_row,
+    );
+    #[cfg(debug_assertions)]
+    {
+        let reference = propose_reference(
+            queue,
+            ready,
+            lock.is_some(),
+            ctx,
+            kind,
+            bank_idx,
+            rank,
+            bank,
+            open_row,
+        );
+        debug_assert_eq!(
+            proposal, reference,
+            "bank {bank_idx}: indexed pick diverged from the linear ranking"
+        );
+    }
+    proposal
+}
+
+/// The index read of [`propose`], after the bind pre-pass.
+#[allow(clippy::too_many_arguments)]
+fn select(
+    queue: &BankQueue,
+    ready: ReadyClasses,
+    locked: bool,
+    kind: SchedulerKind,
+    bank_idx: usize,
+    rank: RankId,
+    bank: BankId,
+    open_row: Option<RowId>,
+) -> Option<Proposal> {
+    let owned = |slot: u32, cmd: Command, cas: bool, sel: SelKey, tier: u8| Proposal {
+        cmd,
+        prio: Priority {
+            ready: true,
+            tier,
+            cas,
+            key: sel.key,
+            id: RequestId::new(sel.id),
+        },
+        source: Some((bank_idx, slot as usize)),
+    };
+
+    if locked {
         // Locked FQ mode: the earliest-(key, id) entry overall, ready or
-        // not — the bank waits for it rather than letting other work
-        // chain. All entries are keyed after the pre-pass.
+        // not and *whatever its tier* — the bank waits for it rather than
+        // letting other work chain. All entries are keyed after the
+        // pre-pass. The pick keeps its thread's tier at the channel
+        // scheduler: a no-op for plain FQ-VFTF (no tier source is active
+        // there), but essential under regulation — a locked best-effort
+        // pick must not outrank a ready in-budget real-time command from
+        // another bank, or the WCET channel-interference term would be
+        // unsound.
         let (sel, slot) = queue.min_all().expect("non-empty, fully keyed queue");
-        let p = queue.get(slot);
-        let cmd = next_command(&p.req, open_row, rank, bank);
-        if ready.allows(&cmd) {
-            return Some(Proposal {
-                cmd,
-                prio: Priority {
-                    ready: true,
-                    tier: 0,
-                    cas: cmd.is_cas(),
-                    key: sel.key,
-                    id: p.req.id,
-                },
-                source: Some((bank_idx, slot as usize)),
-            });
-        }
-        return None;
+        let cmd = next_command(&queue.get(slot).req, open_row, rank, bank);
+        return ready
+            .allows(&cmd)
+            .then(|| owned(slot, cmd, cmd.is_cas(), sel, queue.tier(slot)));
     }
 
     if !kind.uses_first_ready() {
-        // FCFS ablation: only the oldest request competes.
+        // FCFS ablation: only the oldest request competes (arrival-keyed,
+        // so it is indexed under its thread's tier).
         let slot = queue.front_slot().expect("non-empty queue");
         let p = queue.get(slot);
         let (class_ready, cas) = classify(p, open_row, ready);
-        if !class_ready {
-            return None;
+        let sel = SelKey {
+            key: p.req.arrival.as_f64(),
+            id: p.req.id.as_u64(),
+        };
+        let cmd = next_command(&p.req, open_row, rank, bank);
+        return class_ready.then(|| owned(slot, cmd, cas, sel, queue.tier(slot)));
+    }
+
+    // First-ready selection from the index, tier by tier: any ready
+    // tier-0 candidate beats every tier-1 candidate. Within a tier a
+    // ready CAS hit beats every RAS candidate (the `cas` priority level),
+    // so the classes resolve in order without comparing across them.
+    // Candidates are ranked by *bank-level* readiness only; the winner is
+    // presented to the channel scheduler even if the channel rejects it
+    // this cycle, so lower-priority pending work cannot bypass it (the
+    // first-ready chaining behaviour of Section 3.3).
+    for tier in 0..2u8 {
+        if queue.tier_is_empty(tier) {
+            continue;
         }
-        return Some(Proposal {
-            cmd: next_command(&p.req, open_row, rank, bank),
+        let pick = match open_row {
+            Some(row) => {
+                let row = row.as_u32();
+                if let Some((sel, slot)) = queue.min_cas(tier, row, ready.read(), ready.write()) {
+                    let cmd = next_command(&queue.get(slot).req, open_row, rank, bank);
+                    debug_assert!(cmd.is_cas());
+                    return Some(owned(slot, cmd, true, sel, tier));
+                }
+                ready
+                    .precharge()
+                    .then(|| queue.min_excluding_row(tier, row))
+                    .flatten()
+                    .map(|(sel, slot)| (sel, slot, Command::Precharge { rank, bank }))
+            }
+            None => ready
+                .activate()
+                .then(|| queue.min_in(tier))
+                .flatten()
+                .map(|(sel, slot)| {
+                    let row = queue.get(slot).req.addr.row;
+                    (sel, slot, Command::Activate { rank, bank, row })
+                }),
+        };
+        if let Some((sel, slot, cmd)) = pick {
+            return Some(owned(slot, cmd, false, sel, tier));
+        }
+    }
+    None
+}
+
+/// The O(n) linear ranking the index must reproduce: every candidate is
+/// ranked by its full [`Priority`] in admission order. Read-only (it runs
+/// after the bind pre-pass, so every candidate's key is bound) and
+/// compiled only into debug builds, where [`propose`] asserts that it
+/// agrees with the indexed pick on every evaluation.
+#[cfg(debug_assertions)]
+#[allow(clippy::too_many_arguments)]
+fn propose_reference(
+    queue: &BankQueue,
+    ready: ReadyClasses,
+    locked: bool,
+    ctx: SchedCtx<'_>,
+    kind: SchedulerKind,
+    bank_idx: usize,
+    rank: RankId,
+    bank: BankId,
+    open_row: Option<RowId>,
+) -> Option<Proposal> {
+    let key = |p: &Pending| {
+        if kind.uses_vftf() {
+            p.vft.expect("candidates are bound by the pre-pass")
+        } else {
+            p.req.arrival.as_f64()
+        }
+    };
+    if locked {
+        let (slot, p) = queue
+            .iter()
+            .min_by(|(_, a), (_, b)| (key(a), a.req.id).partial_cmp(&(key(b), b.req.id)).unwrap())
+            .expect("non-empty queue");
+        let cmd = next_command(&p.req, open_row, rank, bank);
+        return ready.allows(&cmd).then_some(Proposal {
+            cmd,
             prio: Priority {
                 ready: true,
-                tier: 0,
-                cas,
-                key: p.req.arrival.as_f64(),
+                tier: ctx.tier(p.req.thread),
+                cas: cmd.is_cas(),
+                key: key(p),
                 id: p.req.id,
             },
             source: Some((bank_idx, slot as usize)),
         });
     }
-
-    // First-ready selection from the index. A ready CAS hit beats every
-    // RAS candidate (the `cas` priority level), so the classes resolve in
-    // order without comparing across them.
-    match open_row {
-        Some(row) => {
-            if let Some((sel, slot)) = queue.min_cas(row.as_u32(), ready.read(), ready.write()) {
-                let p = queue.get(slot);
-                let cmd = next_command(&p.req, open_row, rank, bank);
-                debug_assert!(cmd.is_cas());
-                return Some(Proposal {
-                    cmd,
-                    prio: Priority {
-                        ready: true,
-                        tier: 0,
-                        cas: true,
-                        key: sel.key,
-                        id: p.req.id,
-                    },
-                    source: Some((bank_idx, slot as usize)),
-                });
-            }
-            if !ready.precharge() {
-                return None;
-            }
-            let (sel, slot) = queue.min_excluding_row(row.as_u32())?;
-            let p = queue.get(slot);
-            Some(Proposal {
-                cmd: Command::Precharge { rank, bank },
+    let candidates = if kind.uses_first_ready() {
+        queue.len()
+    } else {
+        1 // FCFS ablation: only the oldest request competes
+    };
+    queue
+        .iter()
+        .take(candidates)
+        .filter_map(|(slot, p)| {
+            let (class_ready, cas) = classify(p, open_row, ready);
+            class_ready.then(|| Proposal {
+                cmd: next_command(&p.req, open_row, rank, bank),
                 prio: Priority {
                     ready: true,
-                    tier: 0,
-                    cas: false,
-                    key: sel.key,
+                    tier: ctx.tier(p.req.thread),
+                    cas,
+                    key: key(p),
                     id: p.req.id,
                 },
                 source: Some((bank_idx, slot as usize)),
             })
-        }
-        None => {
-            if !ready.activate() {
-                return None;
-            }
-            let (sel, slot) = queue.min_all()?;
-            let p = queue.get(slot);
-            Some(Proposal {
-                cmd: Command::Activate {
-                    rank,
-                    bank,
-                    row: p.req.addr.row,
-                },
-                prio: Priority {
-                    ready: true,
-                    tier: 0,
-                    cas: false,
-                    key: sel.key,
-                    id: p.req.id,
-                },
-                source: Some((bank_idx, slot as usize)),
-            })
-        }
-    }
+        })
+        .min_by(|a, b| a.prio.cmp(&b.prio))
 }
 
 /// Bank-level readiness of each command class at one bank this cycle,
@@ -2487,14 +2409,14 @@ impl ReadyClasses {
     }
 }
 
-/// Binds (or returns the cached) virtual finish time of a pending request,
-/// classifying its bank service by the bank's state right now (Table 3).
-/// Under SD-VFTF (`est` is `Some`) the bound key is the virtual finish
-/// time divided by the thread's current slowdown estimate — scaled once,
-/// at bind time, then static for the request's lifetime.
+/// The virtual finish time a pending request binds to now, classifying its
+/// bank service by the bank's state (Table 3), and emits its `VftBound`
+/// event. Under SD-VFTF (`est` is `Some`) the bound key is the virtual
+/// finish time divided by the thread's current slowdown estimate — scaled
+/// once, at bind time, then static for the request's lifetime.
 #[allow(clippy::too_many_arguments)]
 fn bind_vft<O: Observer>(
-    p: &mut Pending,
+    p: &Pending,
     est: Option<&SlowdownEstimator>,
     vtms: &[Vtms],
     bank_idx: usize,
@@ -2503,9 +2425,6 @@ fn bind_vft<O: Observer>(
     now: DramCycle,
     obs: &mut O,
 ) -> f64 {
-    if let Some(v) = p.vft {
-        return v;
-    }
     let state = match open_row {
         Some(r) => fqms_dram::bank::BankState::Open(r),
         None => fqms_dram::bank::BankState::Closed,
@@ -2520,7 +2439,6 @@ fn bind_vft<O: Observer>(
     if let Some(e) = est {
         v /= e.slowdown(p.req.thread.as_u32());
     }
-    p.vft = Some(v);
     if O::ENABLED {
         obs.on_event(&Event::VftBound {
             cycle: now.as_u64(),

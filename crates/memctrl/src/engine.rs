@@ -8,10 +8,8 @@
 //! list of [`SubmitEvent`]s) onto per-channel [`ChannelShard`]s and drives
 //! them with the free-running work-stealing executor from
 //! [`fqms_sim::parallel`] — either serially ([`simulate_serial`]) or
-//! across worker threads ([`simulate_parallel`]; a lockstep epoch-barrier
-//! variant, [`simulate_parallel_lockstep`], is retained for differential
-//! testing and overhead measurement). Checkpointed runs have parallel
-//! counterparts too: [`simulate_parallel_checkpointed`] captures bytes
+//! across worker threads ([`simulate_parallel`]). Checkpointed runs have
+//! parallel counterparts too: [`simulate_parallel_checkpointed`] captures bytes
 //! identical to [`simulate_serial_checkpointed`]'s, and
 //! [`resume_parallel`] resumes them to a report bit-identical to the
 //! uninterrupted serial run.
@@ -54,7 +52,7 @@ use fqms_dram::timing::TimingParams;
 use fqms_obs::{Event, NullObserver, Observations, Observer, TracingObserver};
 use fqms_sim::clock::DramCycle;
 use fqms_sim::fault::FaultPlan;
-use fqms_sim::parallel::{for_each_shard, run_lockstep, run_parallel, run_serial, Shard};
+use fqms_sim::parallel::{for_each_shard, run_parallel, run_serial, Shard};
 use fqms_sim::rng::SimRng;
 use fqms_sim::snapshot::{
     Fingerprint, SectionReader, SectionWriter, Snapshot, SnapshotError, SnapshotReader,
@@ -915,32 +913,6 @@ pub fn simulate_parallel(
     }
     let mut shards = build_shards(spec, events)?;
     let cycles = run_parallel(&mut shards, spec.max_cycles, spec.epoch_cycles, num_threads);
-    for shard in &mut shards {
-        shard.mc.finish(DramCycle::new(cycles));
-    }
-    Ok(merge(spec, shards, cycles))
-}
-
-/// [`simulate_parallel`] on the retained lockstep epoch-barrier executor:
-/// worker threads synchronise twice per epoch instead of free-running.
-/// Bit-identical to both [`simulate_serial`] and [`simulate_parallel`];
-/// kept for differential testing and for measuring what the barriers cost
-/// (the `speedup` bench reports both executors side by side).
-///
-/// # Errors
-///
-/// Returns a description if the spec is invalid, the schedule is not
-/// sorted by cycle, or `num_threads` is zero.
-pub fn simulate_parallel_lockstep(
-    spec: &EngineSpec,
-    events: &[SubmitEvent],
-    num_threads: usize,
-) -> Result<EngineReport, String> {
-    if num_threads == 0 {
-        return Err("at least one worker thread is required".into());
-    }
-    let mut shards = build_shards(spec, events)?;
-    let cycles = run_lockstep(&mut shards, spec.max_cycles, spec.epoch_cycles, num_threads);
     for shard in &mut shards {
         shard.mc.finish(DramCycle::new(cycles));
     }

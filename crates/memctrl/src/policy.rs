@@ -69,18 +69,6 @@ impl SchedulerKind {
         matches!(self, SchedulerKind::FqVftf)
     }
 
-    /// True if the scheduler's priority keys are compatible with the
-    /// O(log n) indexed scan ([`ScanKind::Indexed`]).
-    ///
-    /// BLISS is the exception: its blacklist flips change request
-    /// *ordering* (the tier) dynamically between scheduling decisions,
-    /// which the static-key row-group heaps cannot represent, so it is
-    /// restricted to [`ScanKind::Linear`] (enforced by
-    /// `McConfig::validate`).
-    pub fn supports_indexed_scan(self) -> bool {
-        !matches!(self, SchedulerKind::Bliss)
-    }
-
     /// Short display name matching the paper's figure legends.
     pub fn name(self) -> &'static str {
         match self {
@@ -222,25 +210,6 @@ pub enum VftBinding {
     AtArrival,
 }
 
-/// Bank-scheduler candidate selection implementation (ISSUE 6).
-///
-/// Both paths are semantically identical — the differential suite
-/// (`select_differential.rs`) proves bit-identity of event streams,
-/// completions, and metrics — but scale differently: the linear scan is
-/// O(queue) per scheduling decision, the indexed path O(log queue) via
-/// per-row heaps and a tournament tree (see [`crate::select`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScanKind {
-    /// The reference implementation: rescan the bank queue in admission
-    /// order on every evaluation. Retained as the oracle for the
-    /// differential suite and the scaling figure's degrading baseline.
-    Linear,
-    /// Index-keyed selection: row-group heaps plus a tournament tree,
-    /// O(log n) select/update (the default).
-    #[default]
-    Indexed,
-}
-
 /// The priority of a candidate command, ordered per the paper: ready beats
 /// not-ready, then lower tier beats higher (tier is 0 for everything except
 /// BLISS-blacklisted threads), CAS beats RAS, then the smaller key (arrival
@@ -363,10 +332,6 @@ mod tests {
         assert!(!SchedulerKind::Bliss.uses_vftf());
         assert!(SchedulerKind::Bliss.uses_first_ready());
         assert!(!SchedulerKind::SdVftf.uses_fq_bank_scheduler());
-        assert!(!SchedulerKind::Bliss.supports_indexed_scan());
-        for kind in SchedulerKind::all() {
-            assert_eq!(kind.supports_indexed_scan(), kind != SchedulerKind::Bliss);
-        }
     }
 
     #[test]

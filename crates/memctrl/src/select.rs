@@ -1,10 +1,11 @@
 //! O(log n) bank-scheduler selection structures (ISSUE 6 tentpole).
 //!
-//! The reference bank scheduler re-ranks its whole queue with a linear
-//! scan on every evaluation: O(n) per decision, the scaling wall for
-//! thousand-tenant share trees. This module replaces the scan with an
-//! index-keyed structure while preserving the scan's selection *exactly*
-//! (same winner, same tie-breaks, same `VftBound` event order):
+//! Ranking a bank queue by re-scanning it on every evaluation is O(n)
+//! per decision, the scaling wall for thousand-tenant share trees. This
+//! module replaces the scan with an index-keyed structure that selects
+//! *exactly* what the scan would (same winner, same tie-breaks, same
+//! `VftBound` event order; debug builds check every pick against the
+//! linear ranking):
 //!
 //! * [`IndexedHeap`] — a binary min-heap over `(key, id)` pairs with an
 //!   external slot→position index, giving O(log n) insert/remove/re-key
@@ -14,25 +15,31 @@
 //!   excluding one group (the open row's hit group);
 //! * `BankQueue` (crate-private) — the per-bank pending queue: a
 //!   stable-slot slab plus a tombstoned admission-order list, with one
-//!   `(read, write)` heap pair per distinct row and a tournament over
-//!   the groups.
+//!   `(read, write)` heap pair per live row and a tournament over the
+//!   groups, kept once per priority tier.
 //!
 //! # Why this decomposition is exact
 //!
-//! The linear scan's priority order ([`crate::policy::Priority`]) ranks
-//! candidates by `(ready, cas, key, id)`. Within one bank evaluation all
-//! surviving candidates are ready, so the scan reduces to: any ready CAS
-//! (open-row hit) beats any ready RAS, then the smallest `(key, id)`
-//! wins. Hits to the open row `r` are exactly the members of row group
-//! `r`, so the best hit is the group-`r` heap minimum (per CAS kind,
-//! gated on that kind's bank readiness); the best precharge candidate is
-//! the minimum over every *other* group (`min_excluding`); the best
-//! activate candidate on a closed bank is the global minimum. `(key, id)`
-//! pairs are unique (admission ids are strictly monotonic), so the winner
-//! is independent of heap layout — a rebuilt-on-restore heap with
-//! renumbered slots selects identically.
+//! The priority order ([`crate::policy::Priority`]) ranks candidates by
+//! `(ready, tier, cas, key, id)`. Within one bank evaluation all
+//! surviving candidates are ready, so the ranking reduces to: any ready
+//! tier-0 candidate beats any tier-1 candidate; within a tier any ready
+//! CAS (open-row hit) beats any ready RAS, then the smallest `(key, id)`
+//! wins. Each tier therefore gets its own heaps and tournament, and the
+//! tiers are consulted in order. Hits to the open row `r` are exactly the
+//! members of row group `r`, so a tier's best hit is its group-`r` heap
+//! minimum (per CAS kind, gated on that kind's bank readiness); its best
+//! precharge candidate is the minimum over every *other* group
+//! (`min_excluding`); its best activate candidate on a closed bank is its
+//! tournament minimum. The FQ scheduler's locked pick ignores tiers: it
+//! is the smaller of the two tournament minima. A thread's tier changes
+//! only at BLISS and regulator transitions, where its keyed entries move
+//! between tiers (`BankQueue::retier`). `(key, id)` pairs are unique
+//! (admission ids are strictly monotonic), so the winner is independent
+//! of heap layout — a rebuilt-on-restore heap with renumbered slots and
+//! recycled group ids selects identically.
 
-use crate::request::MemoryRequest;
+use crate::request::{MemoryRequest, ThreadId};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -328,6 +335,51 @@ impl Group {
     fn best(&self) -> Option<TreeVal> {
         tree_min(self.read.peek(), self.write.peek())
     }
+
+    fn is_empty(&self) -> bool {
+        self.read.is_empty() && self.write.is_empty()
+    }
+}
+
+/// One priority tier's share of the index: a `(read, write)` heap pair
+/// per row group plus the tournament over the groups. Group ids are
+/// shared by both tiers (one `group_of_row` map); each tier grows its
+/// own groups and leaves lazily, so a tier that never holds an entry
+/// costs nothing.
+#[derive(Debug, Clone, Default)]
+struct TierIndex {
+    groups: Vec<Group>,
+    tree: TournamentTree,
+    /// Keyed entries in this tier.
+    len: usize,
+}
+
+impl TierIndex {
+    fn heap(&mut self, gid: u32, read: bool) -> &mut IndexedHeap {
+        while self.groups.len() <= gid as usize {
+            self.tree.push_leaf();
+            self.groups.push(Group::default());
+        }
+        let g = &mut self.groups[gid as usize];
+        if read {
+            &mut g.read
+        } else {
+            &mut g.write
+        }
+    }
+
+    /// Replays group `gid`'s matches after one of its heaps changed.
+    fn refresh(&mut self, gid: u32) {
+        let val = self.groups[gid as usize].best();
+        self.tree.set(gid, val);
+    }
+
+    fn min_excluding(&self, gid: Option<u32>) -> Option<TreeVal> {
+        match gid {
+            Some(g) if (g as usize) < self.groups.len() => self.tree.min_excluding(g),
+            _ => self.tree.min(),
+        }
+    }
 }
 
 /// The per-bank pending-request queue.
@@ -342,17 +394,16 @@ impl Group {
 /// strictly monotonic). Dead pairs are compacted when they outnumber
 /// live ones, keeping iteration amortized O(live).
 ///
-/// With `indexed` set, the queue additionally maintains the row-group
-/// heaps and the tournament over groups for every *keyed* entry (one
-/// whose selection key is known: arrival-keyed schedulers key at push;
-/// VFTF schedulers key at VFT binding). Unkeyed entries wait in the
+/// Every *keyed* entry (one whose selection key is known: arrival-keyed
+/// schedulers key at push; VFTF schedulers key at VFT binding) sits in
+/// the row-group heaps and tournament of its priority tier (see
+/// [`crate::policy::Priority`]): tier 0 normally, tier 1 for a
+/// BLISS-blacklisted or out-of-budget thread. Unkeyed entries wait in the
 /// `unbound` list (same tombstone scheme) until the scheduler's bind
-/// pre-pass keys them in admission order. With `indexed` unset (the
-/// retained linear reference path) all index upkeep is skipped and the
-/// queue is just the slab + order list.
+/// pre-pass keys them in admission order. A thread's tier changes at
+/// runtime; [`BankQueue::retier`] moves its keyed entries between tiers.
 #[derive(Debug, Clone)]
 pub(crate) struct BankQueue {
-    indexed: bool,
     /// Keys are virtual finish times (VFTF schedulers) rather than
     /// arrival times; entries are keyed lazily at VFT binding.
     vftf: bool,
@@ -363,21 +414,24 @@ pub(crate) struct BankQueue {
     order: Vec<(u32, u64)>,
     order_dead: usize,
     /// Admission-order `(slot, id)` pairs of entries awaiting a key
-    /// (maintained only when `indexed && vftf`).
+    /// (maintained only when `vftf`).
     unbound: Vec<(u32, u64)>,
-    /// Row -> group id; groups are never freed (an emptied group keeps
-    /// its tournament leaf as `None`), so ids are stable.
+    /// Row -> group id of every row with a keyed entry. A group emptied
+    /// in both tiers is unmapped and its id (tournament leaf, `None` by
+    /// then) recycled through `free_groups`, so the tournaments grow with
+    /// the rows *live* in the queue, not every row it ever saw.
     group_of_row: HashMap<u32, u32>,
-    groups: Vec<Group>,
-    tree: TournamentTree,
+    free_groups: Vec<u32>,
+    tiers: [TierIndex; 2],
+    /// Tier of each keyed slot (indexed by slot).
+    tier_of: Vec<u8>,
     /// Shared slot→heap-position index (each slot is in ≤ 1 heap).
     heap_pos: Vec<u32>,
 }
 
 impl BankQueue {
-    pub(crate) fn new(indexed: bool, vftf: bool) -> Self {
+    pub(crate) fn new(vftf: bool) -> Self {
         BankQueue {
-            indexed,
             vftf,
             slots: Vec::new(),
             free: Vec::new(),
@@ -386,8 +440,9 @@ impl BankQueue {
             order_dead: 0,
             unbound: Vec::new(),
             group_of_row: HashMap::new(),
-            groups: Vec::new(),
-            tree: TournamentTree::new(),
+            free_groups: Vec::new(),
+            tiers: Default::default(),
+            tier_of: Vec::new(),
             heap_pos: Vec::new(),
         }
     }
@@ -411,8 +466,9 @@ impl BankQueue {
     }
 
     /// Admits an entry (at the back of the admission order) and returns
-    /// its slot.
-    pub(crate) fn push(&mut self, p: Pending) -> u32 {
+    /// its slot. `tier` is the entry's thread's current priority tier;
+    /// it places the entry only if it is keyed at push.
+    pub(crate) fn push(&mut self, p: Pending, tier: u8) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             (self.slots.len() - 1) as u32
@@ -422,11 +478,9 @@ impl BankQueue {
         self.slots[slot as usize] = Some(p);
         self.live += 1;
         self.order.push((slot, id));
-        if self.indexed {
-            match self.key_of(&p) {
-                Some(key) => self.index_insert(slot, key, &p),
-                None => self.unbound.push((slot, id)),
-            }
+        match self.key_of(&p) {
+            Some(key) => self.index_insert(slot, key, tier, &p),
+            None => self.unbound.push((slot, id)),
         }
         slot
     }
@@ -443,17 +497,8 @@ impl BankQueue {
         self.order_dead += 1;
         // Unkeyed entries leave a tombstone in `unbound`, cleaned by the
         // next bind pre-pass (the id check spots slot reuse).
-        if self.indexed && self.key_of(&p).is_some() {
-            let gid = self.group_of_row[&p.req.addr.row.as_u32()];
-            let g = &mut self.groups[gid as usize];
-            let heap = if p.req.kind.is_read() {
-                &mut g.read
-            } else {
-                &mut g.write
-            };
-            heap.remove(&mut self.heap_pos, slot);
-            let val = self.groups[gid as usize].best();
-            self.tree.set(gid, val);
+        if self.key_of(&p).is_some() {
+            self.index_remove(slot, &p);
         }
         if self.order_dead > self.order.len() / 2 && self.order.len() > 32 {
             let slots = &self.slots;
@@ -465,31 +510,67 @@ impl BankQueue {
         p
     }
 
-    fn index_insert(&mut self, slot: u32, key: f64, p: &Pending) {
-        let row = p.req.addr.row.as_u32();
-        let gid = match self.group_of_row.get(&row) {
-            Some(&g) => g,
-            None => {
-                let g = self.tree.push_leaf();
-                debug_assert_eq!(g as usize, self.groups.len());
-                self.groups.push(Group::default());
-                self.group_of_row.insert(row, g);
-                g
-            }
-        };
+    fn index_insert(&mut self, slot: u32, key: f64, tier: u8, p: &Pending) {
+        // Every allocated id is either mapped or free.
+        let allocated = (self.group_of_row.len() + self.free_groups.len()) as u32;
+        let free = &mut self.free_groups;
+        let gid = *self
+            .group_of_row
+            .entry(p.req.addr.row.as_u32())
+            .or_insert_with(|| free.pop().unwrap_or(allocated));
         let sel = SelKey {
             key,
             id: p.req.id.as_u64(),
         };
-        let g = &mut self.groups[gid as usize];
-        let heap = if p.req.kind.is_read() {
-            &mut g.read
-        } else {
-            &mut g.write
-        };
-        heap.insert(&mut self.heap_pos, slot, sel);
-        let val = self.groups[gid as usize].best();
-        self.tree.set(gid, val);
+        let t = &mut self.tiers[tier as usize];
+        t.heap(gid, p.req.kind.is_read())
+            .insert(&mut self.heap_pos, slot, sel);
+        t.refresh(gid);
+        t.len += 1;
+        if self.tier_of.len() <= slot as usize {
+            self.tier_of.resize(slot as usize + 1, 0);
+        }
+        self.tier_of[slot as usize] = tier;
+    }
+
+    /// Takes a keyed entry out of its tier's heaps.
+    fn index_remove(&mut self, slot: u32, p: &Pending) {
+        let row = p.req.addr.row.as_u32();
+        let gid = self.group_of_row[&row];
+        let t = &mut self.tiers[self.tier_of[slot as usize] as usize];
+        t.heap(gid, p.req.kind.is_read())
+            .remove(&mut self.heap_pos, slot);
+        t.refresh(gid);
+        t.len -= 1;
+        if self
+            .tiers
+            .iter()
+            .all(|t| t.groups.get(gid as usize).is_none_or(Group::is_empty))
+        {
+            self.group_of_row.remove(&row);
+            self.free_groups.push(gid);
+        }
+    }
+
+    /// Moves every keyed entry whose thread's tier (`tier_of_thread`)
+    /// differs from the tier it is indexed under. O(slots) plus
+    /// O(log n) per moved entry; called only at tier transitions (a
+    /// BLISS blacklisting or clearing, a regulator bucket exhausting or
+    /// refilling, a snapshot restore).
+    pub(crate) fn retier(&mut self, tier_of_thread: impl Fn(ThreadId) -> u8) {
+        for slot in 0..self.slots.len() as u32 {
+            let Some(p) = self.slots[slot as usize] else {
+                continue;
+            };
+            let Some(key) = self.key_of(&p) else {
+                continue;
+            };
+            let tier = tier_of_thread(p.req.thread);
+            if self.tier_of[slot as usize] != tier {
+                self.index_remove(slot, &p);
+                self.index_insert(slot, key, tier, &p);
+            }
+        }
     }
 
     /// Shared access to the entry at `slot`.
@@ -501,23 +582,26 @@ impl BankQueue {
         self.slots[slot as usize].as_ref().expect("live slot")
     }
 
-    /// Mutable access to the entry at `slot`. Callers must not mutate
-    /// fields the index keys on (`vft` on an indexed queue — bind via
-    /// [`BankQueue::bind`] / [`BankQueue::drain_unbound`] instead);
-    /// `ras_issued` is never a key and is safe to bump.
-    pub(crate) fn get_mut(&mut self, slot: u32) -> &mut Pending {
-        self.slots[slot as usize].as_mut().expect("live slot")
+    /// Bumps the RAS count of the entry at `slot` (never a selection
+    /// key, so no index upkeep).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is empty.
+    pub(crate) fn note_ras(&mut self, slot: u32) {
+        let p = self.slots[slot as usize].as_mut().expect("live slot");
+        p.ras_issued = p.ras_issued.saturating_add(1);
     }
 
     /// Runs the bind pre-pass: visits every still-unkeyed entry in
-    /// admission order; `f` returns the VFT to bind (the caller emits
-    /// its event) or `None` to leave the entry unkeyed. Also compacts
-    /// tombstones out of the unbound list.
+    /// admission order; `f` returns the VFT to bind and the thread's
+    /// current tier (the caller emits its event), or `None` to leave the
+    /// entry unkeyed. Also compacts tombstones out of the unbound list.
     pub(crate) fn drain_unbound<F>(&mut self, mut f: F)
     where
-        F: FnMut(&Pending) -> Option<f64>,
+        F: FnMut(&Pending) -> Option<(f64, u8)>,
     {
-        debug_assert!(self.indexed && self.vftf);
+        debug_assert!(self.vftf);
         let mut kept = 0;
         for i in 0..self.unbound.len() {
             let (slot, id) = self.unbound[i];
@@ -530,12 +614,12 @@ impl BankQueue {
             }
             let p = *self.slots[slot as usize].as_ref().expect("checked above");
             match f(&p) {
-                Some(vft) => {
+                Some((vft, tier)) => {
                     self.slots[slot as usize]
                         .as_mut()
                         .expect("checked above")
                         .vft = Some(vft);
-                    self.index_insert(slot, vft, &p);
+                    self.index_insert(slot, vft, tier, &p);
                 }
                 None => {
                     self.unbound[kept] = (slot, id);
@@ -546,15 +630,9 @@ impl BankQueue {
         self.unbound.truncate(kept);
     }
 
-    /// Number of admission-order cells (including tombstones); use with
-    /// [`BankQueue::order_slot`] to scan in admission order.
-    pub(crate) fn order_len(&self) -> usize {
-        self.order.len()
-    }
-
     /// The live slot at admission-order cell `i`, or `None` for a
     /// tombstone.
-    pub(crate) fn order_slot(&self, i: usize) -> Option<u32> {
+    fn order_slot(&self, i: usize) -> Option<u32> {
         let (slot, id) = self.order[i];
         match &self.slots[slot as usize] {
             Some(p) if p.req.id.as_u64() == id => Some(slot),
@@ -582,29 +660,46 @@ impl BankQueue {
             .map(|slot| (slot, self.get(slot)))
     }
 
-    /// The best keyed entry overall (the activate candidate on a closed
-    /// bank; the locked FQ scheduler's pick).
+    /// The tier the keyed entry at `slot` is indexed under.
+    pub(crate) fn tier(&self, slot: u32) -> u8 {
+        self.tier_of[slot as usize]
+    }
+
+    /// True when tier `tier` holds no keyed entry.
+    pub(crate) fn tier_is_empty(&self, tier: u8) -> bool {
+        self.tiers[tier as usize].len == 0
+    }
+
+    /// The best keyed entry overall, ignoring tiers (the locked FQ
+    /// scheduler's pick).
     pub(crate) fn min_all(&self) -> Option<TreeVal> {
-        debug_assert!(self.indexed);
-        self.tree.min()
+        tree_min(self.tiers[0].tree.min(), self.tiers[1].tree.min())
     }
 
-    /// The best keyed entry whose row differs from `row` (the precharge
-    /// candidate when `row` is open).
-    pub(crate) fn min_excluding_row(&self, row: u32) -> Option<TreeVal> {
-        debug_assert!(self.indexed);
-        match self.group_of_row.get(&row) {
-            Some(&g) => self.tree.min_excluding(g),
-            None => self.tree.min(),
-        }
+    /// The best keyed entry of tier `tier` (the activate candidate on a
+    /// closed bank).
+    pub(crate) fn min_in(&self, tier: u8) -> Option<TreeVal> {
+        self.tiers[tier as usize].tree.min()
     }
 
-    /// The best keyed open-row hit, honouring per-kind readiness: reads
-    /// compete only if `want_read`, writes only if `want_write`.
-    pub(crate) fn min_cas(&self, row: u32, want_read: bool, want_write: bool) -> Option<TreeVal> {
-        debug_assert!(self.indexed);
+    /// The best keyed entry of tier `tier` whose row differs from `row`
+    /// (the precharge candidate when `row` is open).
+    pub(crate) fn min_excluding_row(&self, tier: u8, row: u32) -> Option<TreeVal> {
+        self.tiers[tier as usize].min_excluding(self.group_of_row.get(&row).copied())
+    }
+
+    /// The best keyed open-row hit of tier `tier`, honouring per-kind
+    /// readiness: reads compete only if `want_read`, writes only if
+    /// `want_write`.
+    pub(crate) fn min_cas(
+        &self,
+        tier: u8,
+        row: u32,
+        want_read: bool,
+        want_write: bool,
+    ) -> Option<TreeVal> {
         let &gid = self.group_of_row.get(&row)?;
-        let g = &self.groups[gid as usize];
+        let g = self.tiers[tier as usize].groups.get(gid as usize)?;
         let r = if want_read { g.read.peek() } else { None };
         let w = if want_write { g.write.peek() } else { None };
         tree_min(r, w)
@@ -614,16 +709,7 @@ impl BankQueue {
     /// re-pushes entries in admission order, rebuilding all derived
     /// index state).
     pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-        self.order.clear();
-        self.order_dead = 0;
-        self.unbound.clear();
-        self.group_of_row.clear();
-        self.groups.clear();
-        self.tree = TournamentTree::new();
-        self.heap_pos.clear();
+        *self = BankQueue::new(self.vftf);
     }
 }
 
@@ -713,17 +799,23 @@ mod tests {
 
     // ---- BankQueue vs a naive linear-scan oracle (CaseRunner) ----------
 
-    use crate::request::{RequestId, RequestKind, ThreadId};
+    use crate::request::{RequestId, RequestKind};
     use fqms_dram::command::{BankId, ColId, DramAddress, RankId, RowId};
     use fqms_sim::clock::DramCycle;
     use fqms_sim::rng::{CaseRunner, SimRng};
 
+    /// Threads in the randomized cases; each has a tier that flips at
+    /// runtime, like a BLISS blacklist flag or a regulator bucket.
+    const THREADS: u32 = 3;
+
     /// One randomized queue operation.
     #[derive(Debug, Clone, Copy)]
     enum Op {
-        /// Admit a request to `row` (read/write), optionally pre-keyed
-        /// (at-arrival binding); `key` carries the VFT when pre-keyed.
+        /// Admit a request from `thread` to `row` (read/write), optionally
+        /// pre-keyed (at-arrival binding); `key` carries the VFT when
+        /// pre-keyed.
         Push {
+            thread: u32,
             row: u32,
             write: bool,
             arrival: u64,
@@ -733,15 +825,17 @@ mod tests {
         Remove(usize),
         /// Bind the `n`-th unkeyed entry (mod unbound count) to `key`.
         Bind { nth: usize, key: f64 },
+        /// Flip `thread`'s tier and re-place its keyed entries.
+        Flip(u32),
     }
 
-    /// Oracle entry: `(id, row, write, key)` in admission order.
-    type OracleEntry = (u64, u32, bool, Option<f64>);
+    /// Oracle entry: `(id, thread, row, write, key)` in admission order.
+    type OracleEntry = (u64, u32, u32, bool, Option<f64>);
 
-    fn request(id: u64, row: u32, write: bool, arrival: u64) -> MemoryRequest {
+    fn request(id: u64, thread: u32, row: u32, write: bool, arrival: u64) -> MemoryRequest {
         MemoryRequest {
             id: RequestId::new(id),
-            thread: ThreadId::new(0),
+            thread: ThreadId::new(thread),
             kind: if write {
                 RequestKind::Write
             } else {
@@ -772,14 +866,16 @@ mod tests {
     fn gen_ops(rng: &mut SimRng) -> Vec<Op> {
         let n = 4 + rng.next_below(60);
         (0..n)
-            .map(|_| match rng.next_below(8) {
+            .map(|_| match rng.next_below(9) {
                 0..=3 => Op::Push {
+                    thread: rng.next_below(u64::from(THREADS)) as u32,
                     row: rng.next_below(5) as u32,
                     write: rng.chance(0.4),
                     arrival: rng.next_below(1 << 40),
                     key: rng.chance(0.3).then(|| gen_key(rng)),
                 },
                 4 | 5 => Op::Remove(rng.next_below(16) as usize),
+                6 => Op::Flip(rng.next_below(u64::from(THREADS)) as u32),
                 _ => Op::Bind {
                     nth: rng.next_below(16) as usize,
                     key: gen_key(rng),
@@ -792,7 +888,7 @@ mod tests {
     where
         I: Iterator<Item = &'a OracleEntry>,
     {
-        live.filter_map(|&(id, _, _, key)| key.map(|v| (v, id)))
+        live.filter_map(|&(id, _, _, _, key)| key.map(|v| (v, id)))
             .min_by(|a, b| SelKey { key: a.0, id: a.1 }.cmp(&SelKey { key: b.0, id: b.1 }))
     }
 
@@ -807,15 +903,17 @@ mod tests {
         })
     }
 
-    /// Replays `ops` against a vftf-indexed queue and a naive oracle,
+    /// Replays `ops` against a vftf queue and a naive oracle,
     /// cross-checking every query surface after every operation.
     fn check_against_oracle(ops: &[Op]) -> Result<(), String> {
-        let mut q = BankQueue::new(true, true);
+        let mut q = BankQueue::new(true);
         let mut oracle: Vec<OracleEntry> = Vec::new();
+        let mut tiers = [0u8; THREADS as usize];
         let mut next_id = 0u64;
         for (step, &op) in ops.iter().enumerate() {
             match op {
                 Op::Push {
+                    thread,
                     row,
                     write,
                     arrival,
@@ -823,12 +921,15 @@ mod tests {
                 } => {
                     let id = next_id;
                     next_id += 1;
-                    q.push(Pending {
-                        req: request(id, row, write, arrival),
-                        vft: key,
-                        ras_issued: 0,
-                    });
-                    oracle.push((id, row, write, key));
+                    q.push(
+                        Pending {
+                            req: request(id, thread, row, write, arrival),
+                            vft: key,
+                            ras_issued: 0,
+                        },
+                        tiers[thread as usize],
+                    );
+                    oracle.push((id, thread, row, write, key));
                 }
                 Op::Remove(n) => {
                     if oracle.is_empty() {
@@ -853,15 +954,22 @@ mod tests {
                 Op::Bind { nth, key } => {
                     let unbound: Vec<u64> = oracle
                         .iter()
-                        .filter(|e| e.3.is_none())
+                        .filter(|e| e.4.is_none())
                         .map(|e| e.0)
                         .collect();
                     if unbound.is_empty() {
                         continue;
                     }
                     let target = unbound[nth % unbound.len()];
-                    q.drain_unbound(|p| (p.req.id.as_u64() == target).then_some(key));
-                    oracle.iter_mut().find(|e| e.0 == target).expect("listed").3 = Some(key);
+                    q.drain_unbound(|p| {
+                        (p.req.id.as_u64() == target)
+                            .then_some((key, tiers[p.req.thread.as_usize()]))
+                    });
+                    oracle.iter_mut().find(|e| e.0 == target).expect("listed").4 = Some(key);
+                }
+                Op::Flip(thread) => {
+                    tiers[thread as usize] ^= 1;
+                    q.retier(|t| tiers[t.as_usize()]);
                 }
             }
             // --- cross-check every query surface ---
@@ -890,26 +998,37 @@ mod tests {
                     oracle_min(oracle.iter())
                 ));
             }
-            for row in 0..5u32 {
-                let got = as_pair(q.min_excluding_row(row), &q);
-                let want = oracle_min(oracle.iter().filter(|e| e.1 != row));
+            for tier in 0..2u8 {
+                let in_tier = |e: &&OracleEntry| tiers[e.1 as usize] == tier;
+                let got = as_pair(q.min_in(tier), &q);
+                let want = oracle_min(oracle.iter().filter(in_tier));
                 if got != want {
-                    return Err(format!(
-                        "step {step}: min_excluding_row({row}) {got:?} != {want:?}"
-                    ));
+                    return Err(format!("step {step}: min_in({tier}) {got:?} != {want:?}"));
                 }
-                for (want_read, want_write) in [(true, true), (true, false), (false, true)] {
-                    let got = as_pair(q.min_cas(row, want_read, want_write), &q);
-                    let want = oracle_min(
-                        oracle
-                            .iter()
-                            .filter(|e| e.1 == row && if e.2 { want_write } else { want_read }),
-                    );
+                let keyed = oracle.iter().filter(in_tier).any(|e| e.4.is_some());
+                if q.tier_is_empty(tier) == keyed {
+                    return Err(format!("step {step}: tier {tier} emptiness wrong"));
+                }
+                for row in 0..5u32 {
+                    let got = as_pair(q.min_excluding_row(tier, row), &q);
+                    let want = oracle_min(oracle.iter().filter(in_tier).filter(|e| e.2 != row));
                     if got != want {
                         return Err(format!(
-                            "step {step}: min_cas({row}, {want_read}, {want_write}) \
-                             {got:?} != {want:?}"
+                            "step {step}: min_excluding_row({tier}, {row}) {got:?} != {want:?}"
                         ));
+                    }
+                    for (want_read, want_write) in [(true, true), (true, false), (false, true)] {
+                        let got = as_pair(q.min_cas(tier, row, want_read, want_write), &q);
+                        let want =
+                            oracle_min(oracle.iter().filter(in_tier).filter(|e| {
+                                e.2 == row && if e.3 { want_write } else { want_read }
+                            }));
+                        if got != want {
+                            return Err(format!(
+                                "step {step}: min_cas({tier}, {row}, {want_read}, \
+                                 {want_write}) {got:?} != {want:?}"
+                            ));
+                        }
                     }
                 }
             }
@@ -943,13 +1062,16 @@ mod tests {
     fn arrival_keyed_queue_keys_at_push() {
         // Non-VFTF mode: every entry is keyed by arrival at push; the
         // tournament tracks pushes and removes with no bind step.
-        let mut q = BankQueue::new(true, false);
+        let mut q = BankQueue::new(false);
         for (i, arrival) in [50u64, 10, 30].into_iter().enumerate() {
-            q.push(Pending {
-                req: request(i as u64, 1, false, arrival),
-                vft: None,
-                ras_issued: 0,
-            });
+            q.push(
+                Pending {
+                    req: request(i as u64, 0, 1, false, arrival),
+                    vft: None,
+                    ras_issued: 0,
+                },
+                0,
+            );
         }
         let (sel, slot) = q.min_all().expect("keyed");
         assert_eq!(sel.key, 10.0);
@@ -960,17 +1082,29 @@ mod tests {
     }
 
     #[test]
-    fn linear_mode_skips_index_upkeep() {
-        // The reference path keeps only the slab and order list.
-        let mut q = BankQueue::new(false, true);
-        let slot = q.push(Pending {
-            req: request(0, 3, false, 7),
-            vft: None,
-            ras_issued: 0,
-        });
-        q.get_mut(slot).vft = Some(5.0); // linear binding writes in place
-        assert_eq!(q.get(slot).vft, Some(5.0));
-        assert_eq!(q.remove(slot).req.id.as_u64(), 0);
-        assert!(q.is_empty());
+    fn retier_moves_a_threads_entries_between_tiers() {
+        // Thread 1 holds the oldest entry; demoting it leaves thread 0's
+        // entry as the tier-0 minimum while the overall minimum (the
+        // locked pick, which ignores tiers) is unchanged.
+        let mut q = BankQueue::new(false);
+        for (id, thread, arrival) in [(0u64, 1u32, 5u64), (1, 0, 9), (2, 1, 7)] {
+            q.push(
+                Pending {
+                    req: request(id, thread, 2, false, arrival),
+                    vft: None,
+                    ras_issued: 0,
+                },
+                0,
+            );
+        }
+        q.retier(|t| u8::from(t.as_u32() == 1));
+        assert_eq!(q.min_in(0).map(|(s, _)| s.id), Some(1));
+        assert_eq!(q.min_in(1).map(|(s, _)| s.id), Some(0));
+        assert_eq!(q.min_all().map(|(s, _)| s.id), Some(0));
+        let (_, slot) = q.min_all().expect("keyed");
+        assert_eq!(q.tier(slot), 1);
+        q.retier(|_| 0);
+        assert!(q.tier_is_empty(1));
+        assert_eq!(q.min_in(0).map(|(s, _)| s.id), Some(0));
     }
 }

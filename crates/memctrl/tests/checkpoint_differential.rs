@@ -53,7 +53,7 @@ fn spec_for(
     plan: Option<FaultPlan>,
 ) -> EngineSpec {
     let mut spec = EngineSpec::paper(2, 4);
-    spec.config.set_scheduler(scheduler);
+    spec.config.scheduler = scheduler;
     spec.config.refresh_policy = refresh;
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);

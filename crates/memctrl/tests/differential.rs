@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 fn spec_with(kind: SchedulerKind, channels: usize, threads: usize) -> EngineSpec {
     let mut spec = EngineSpec::paper(channels, threads);
-    spec.config.set_scheduler(kind);
+    spec.config.scheduler = kind;
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);
     spec

@@ -22,7 +22,7 @@ use fqms_memctrl::policy::{RefreshPolicy, RowPolicy, SchedulerKind, VftBinding};
 
 fn spec_with(kind: SchedulerKind, channels: usize, threads: usize, fast: bool) -> EngineSpec {
     let mut spec = EngineSpec::paper(channels, threads);
-    spec.config.set_scheduler(kind);
+    spec.config.scheduler = kind;
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);
     spec.fast_forward = fast;

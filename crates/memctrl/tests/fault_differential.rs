@@ -23,7 +23,7 @@ const WATCHDOG: u64 = 300;
 
 fn spec_with(kind: SchedulerKind, channels: usize, threads: usize) -> EngineSpec {
     let mut spec = EngineSpec::paper(channels, threads);
-    spec.config.set_scheduler(kind);
+    spec.config.scheduler = kind;
     spec.config.starvation_threshold = Some(WATCHDOG);
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);

@@ -2,7 +2,7 @@
 //! admission-side throttle + shedder layer must be *inert* when armed
 //! but untripped (semantically identical to a controller without the
 //! layer), *bit-identical* across the serial, free-running parallel,
-//! lockstep, reference, and kill-and-resume execution paths when it
+//! reference, and kill-and-resume execution paths when it
 //! does trip, and *conservative* — every submitted request is accounted
 //! for exactly once: `completed + dropped + rejected + shed ==
 //! submitted`, fuzzed with shrinking over configurations × workloads ×
@@ -17,9 +17,9 @@
 //! into a controller without it (and vice versa).
 
 use fqms_memctrl::engine::{
-    interference_workload, resume_serial, simulate_parallel, simulate_parallel_lockstep,
-    simulate_serial, simulate_serial_checkpointed, synthetic_workload, EngineReport, EngineSpec,
-    ResumeError, RetryPolicy, SubmitEvent,
+    interference_workload, resume_serial, simulate_parallel, simulate_serial,
+    simulate_serial_checkpointed, synthetic_workload, EngineReport, EngineSpec, ResumeError,
+    RetryPolicy, SubmitEvent,
 };
 use fqms_memctrl::prelude::*;
 use fqms_sim::clock::DramCycle;
@@ -139,7 +139,7 @@ fn untripped_overload_matches_plain_controller_semantically() {
 }
 
 /// Tripped overload control replays bit-identically across the serial,
-/// free-running parallel, lockstep, and cycle-by-cycle reference
+/// free-running parallel, and cycle-by-cycle reference
 /// engines — both boundary clocks feed `next_event_cycle`, so
 /// fast-forward may never skip a reclassification or a detector window.
 #[test]
@@ -152,8 +152,6 @@ fn overload_mode_is_bit_identical_across_engines() {
         let parallel = simulate_parallel(&spec, &events, workers).unwrap();
         assert_eq!(serial, parallel, "{workers} workers diverged");
     }
-    let lockstep = simulate_parallel_lockstep(&spec, &events, 3).unwrap();
-    assert_eq!(serial, lockstep, "lockstep engine diverged");
 
     let mut slow = spec.clone();
     slow.fast_forward = false;

@@ -19,9 +19,8 @@
 use fqms_dram::device::Geometry;
 use fqms_dram::timing::TimingParams;
 use fqms_memctrl::engine::{
-    adversarial_workload, realtime_workload, resume_serial, simulate_parallel,
-    simulate_parallel_lockstep, simulate_serial, simulate_serial_checkpointed, synthetic_workload,
-    EngineReport, EngineSpec, ResumeError,
+    adversarial_workload, realtime_workload, resume_serial, simulate_parallel, simulate_serial,
+    simulate_serial_checkpointed, synthetic_workload, EngineReport, EngineSpec, ResumeError,
 };
 use fqms_memctrl::prelude::*;
 use fqms_memctrl::wcet::bound_for;
@@ -147,7 +146,7 @@ fn regulation_beats_fr_fcfs_worst_case_under_bank_camping() {
 
     let mut fr = EngineSpec::paper(1, 4);
     fr.epoch_cycles = 512;
-    fr.config.set_scheduler(SchedulerKind::FrFcfs);
+    fr.config.scheduler = SchedulerKind::FrFcfs;
     let fr_tail = tail(&simulate_serial(&fr, &events).unwrap());
 
     // Victim as an RT class: ~2% arrival rate is a mean of 40 requests
@@ -292,7 +291,7 @@ fn fuzz_no_regulated_completion_exceeds_the_bound() {
 }
 
 /// Regulated runs replay bit-identically across the serial, free-running
-/// parallel, lockstep, and cycle-by-cycle reference engines — replenish
+/// parallel, and cycle-by-cycle reference engines — replenish
 /// boundaries feed `next_event_cycle`, so fast-forward may never skip one.
 #[test]
 fn regulated_mode_is_bit_identical_across_engines() {
@@ -310,8 +309,6 @@ fn regulated_mode_is_bit_identical_across_engines() {
         let parallel = simulate_parallel(&spec, &events, workers).unwrap();
         assert_eq!(serial, parallel, "{workers} workers diverged");
     }
-    let lockstep = simulate_parallel_lockstep(&spec, &events, 3).unwrap();
-    assert_eq!(serial, lockstep, "lockstep engine diverged");
 
     let mut slow = spec.clone();
     slow.fast_forward = false;

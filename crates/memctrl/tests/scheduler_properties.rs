@@ -1,9 +1,7 @@
 //! Property-style tests for the memory controller: conservation (every
 //! accepted request completes exactly once), work conservation, VTMS
 //! monotonicity, and QoS-flavoured sanity under adversarial random
-//! traffic, across the full `SchedulerKind::all()` enum (each policy
-//! under its default scan kind, so BLISS runs linear and the VFT
-//! schedulers run indexed).
+//! traffic, across the full `SchedulerKind::all()` enum.
 //!
 //! Generative properties run on the in-tree shrinking
 //! [`fqms_sim::rng::CaseRunner`] (hermetic — no external `proptest`

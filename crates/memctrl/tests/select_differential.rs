@@ -1,25 +1,28 @@
-//! Heap-vs-linear differential suite (ISSUE 6 satellite, release gate):
-//! the O(log n) indexed scheduler (`ScanKind::Indexed`) must be an
-//! *optimisation*, never a semantic change. Every scheduler kind — and
-//! the refresh / fault / binding / workload variants most likely to
-//! expose a candidate-set divergence — is run twice over the same seeded
-//! schedule, once with the retained linear reference scan and once with
-//! the tournament-heap index, and the two [`EngineReport`]s must be
-//! **fully** structurally equal: completions, per-thread stats, command
-//! logs, observed event streams, and even the `stepped_cycles` /
-//! `skipped_cycles` diagnostics (the scan kind shares the watchdog and
-//! cycle-skip logic, so not a single simulated cycle may differ).
+//! Selection differential suite (release gate): the bank scheduler has
+//! one selection path — the O(log n) tiered index in `select.rs` — and
+//! it must make exactly the decisions of the O(n) linear scan it
+//! replaced. Every scheduler kind, the refresh / fault /
+//! binding / workload variants most likely to expose a candidate-set
+//! divergence, and the two runtime priority-tier sources (the BLISS
+//! blacklist and the real-time regulator) run over seeded schedules, and
+//! each [`EngineReport`] is digested in full — completions, per-thread
+//! stats, command logs (where enabled), observed event streams, and even
+//! the `stepped_cycles` / `skipped_cycles` diagnostics — and compared
+//! with the digest the linear scan produced on the same inputs, recorded
+//! in [`LINEAR_DIGESTS`] when that scan was still a runtime path. Debug
+//! builds additionally re-rank every bank queue linearly on every pick
+//! and assert the indexed winner (`propose_reference` in the
+//! controller).
 //!
 //! The suite also covers the hierarchical share tree end to end: a
 //! two-level tenant → thread allocation must kill-and-resume bit
-//! identically on the indexed path, and corrupted checkpoint bytes must
-//! fail with a typed [`SnapshotError`], never panic or resume silently
-//! wrong.
+//! identically, and corrupted checkpoint bytes must fail with a typed
+//! `SnapshotError`, never panic or resume silently wrong.
 
 use fqms_dram::device::Geometry;
 use fqms_dram::timing::TimingParams;
 use fqms_memctrl::engine::{
-    adversarial_workload, interference_workload, resume_serial, simulate_serial,
+    adversarial_workload, interference_workload, realtime_workload, resume_serial, simulate_serial,
     simulate_serial_checkpointed, synthetic_workload, EngineReport, EngineSpec, ResumeError,
     RetryPolicy, SubmitEvent,
 };
@@ -27,18 +30,88 @@ use fqms_memctrl::policy::{RefreshPolicy, RowPolicy, VftBinding};
 use fqms_memctrl::prelude::*;
 use fqms_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use fqms_sim::rng::{CaseRunner, SimRng};
-use fqms_sim::snapshot::SnapshotError;
+use fqms_sim::snapshot::Fingerprint;
+
+/// Digest of each labelled run under the linear reference scan
+/// (`Fingerprint` of `format!("{report:?}")`, see [`digest`]). A change
+/// that alters these reports on purpose must re-record the digests from
+/// a debug build, where every pick is still checked against the linear
+/// ranking.
+const LINEAR_DIGESTS: &[(&str, u64)] = &[
+    (
+        "FR-FCFS/Deferred { max_postponed: 4 }/faults=false",
+        0xe3c9ed7eeec9d43d,
+    ),
+    ("FR-FCFS/Strict/faults=false", 0x104850c9df6c8733),
+    ("Open/FirstReady", 0xa4111366c8e7bf4e),
+    ("adversarial/FR-VFTF", 0x2361189888967937),
+    ("bliss/faults", 0xdcb7aab9540ab425),
+    ("regulated/FCFS/faults=true", 0xa17da84a364e82ec),
+    ("regulated/FR-FCFS/faults=false", 0x87a6d5130f0c5fb0),
+    ("BLISS", 0x1fbfee87868bebe2),
+    ("Closed/AtArrival", 0x2886923b384b2c7f),
+    ("Closed/FirstReady", 0xe1b2c7fdc4639d28),
+    ("FCFS", 0xf8158adb5948e0e1),
+    ("FQ-VFTF", 0xf3312aea38344901),
+    (
+        "FQ-VFTF/Deferred { max_postponed: 4 }/faults=false",
+        0x90da16ba89de054d,
+    ),
+    (
+        "FQ-VFTF/Deferred { max_postponed: 4 }/faults=true",
+        0xdb6875500b80fd0f,
+    ),
+    ("FQ-VFTF/Strict/faults=false", 0x21f4b6783a7af9ef),
+    ("FQ-VFTF/Strict/faults=true", 0x57ee693eafe478b3),
+    ("FR-FCFS", 0xb99e2053b4f2b0d7),
+    (
+        "FR-FCFS/Deferred { max_postponed: 4 }/faults=true",
+        0x16897ee030e1e8f0,
+    ),
+    ("FR-FCFS/Strict/faults=true", 0x925fa48e010efd95),
+    ("FR-VFTF", 0xbca774b54e3da9ff),
+    ("Open/AtArrival", 0x8b7d6483133b9742),
+    ("SD-VFTF", 0xa6832f7380e22bc2),
+    (
+        "SD-VFTF/Deferred { max_postponed: 4 }/faults=false",
+        0x84a9369bb5ee2eb9,
+    ),
+    (
+        "SD-VFTF/Deferred { max_postponed: 4 }/faults=true",
+        0x0e49d472f36c0414,
+    ),
+    ("SD-VFTF/Strict/faults=false", 0x23d58c44ea577cd0),
+    ("SD-VFTF/Strict/faults=true", 0x02f2ce154673e2ab),
+    ("adversarial/FQ-VFTF", 0x3532d9e46f1fe0a4),
+    ("adversarial/FR-FCFS", 0xf56b05b76c20f25e),
+    ("adversarial/SD-VFTF", 0x6223a04c9f017217),
+    ("bliss", 0x5a1250959381b4d3),
+    ("bliss/cycle-by-cycle", 0x0df7d4afa7bd4dec),
+    ("interference", 0x7eda3a6003106a9d),
+    ("regulated/FCFS/faults=false", 0x87a6d5130f0c5fb0),
+    ("regulated/FQ-VFTF/faults=false", 0x6bcaffc2540e6d89),
+    ("regulated/FQ-VFTF/faults=true", 0xff58e38df28adb70),
+    ("regulated/FR-FCFS/faults=true", 0xa17da84a364e82ec),
+    ("regulated/SD-VFTF/faults=false", 0x6a4dfd501a6d5f50),
+    ("regulated/SD-VFTF/faults=true", 0x87b8216ef11aacc5),
+    ("tree/FQ-VFTF", 0xab2c8ab4e114de07),
+    ("tree/FR-VFTF", 0x41f270844624fb3e),
+    ("tree/SD-VFTF", 0xf2e0c7b2130710a2),
+    ("regulated-mix/FCFS", 0x300fae773dc43b7e),
+    ("regulated-mix/FR-FCFS", 0x13d2fe8f9d8bb414),
+    ("regulated-mix/FQ-VFTF", 0x1ad499482d39e63d),
+];
 
 fn spec_with(kind: SchedulerKind, channels: usize, threads: usize) -> EngineSpec {
     let mut spec = EngineSpec::paper(channels, threads);
-    spec.config.set_scheduler(kind);
+    spec.config.scheduler = kind;
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);
     spec
 }
 
 /// Every fault class in one plan, so drops, NACK storms, bank stalls and
-/// refresh pressure all cross the scan-kind boundary.
+/// refresh pressure all hit the selection index.
 fn faults(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
         .with(
@@ -67,34 +140,35 @@ fn faults(seed: u64) -> FaultPlan {
         )
 }
 
-/// Runs `spec` once per scan kind and demands full structural equality.
-/// Returns the indexed report for extra assertions.
-fn check(mut spec: EngineSpec, events: &[SubmitEvent], label: &str) -> EngineReport {
-    spec.config.scan = ScanKind::Linear;
-    let linear = simulate_serial(&spec, events).unwrap();
-    spec.config.scan = ScanKind::Indexed;
-    let indexed = simulate_serial(&spec, events).unwrap();
+fn digest(report: &EngineReport) -> u64 {
+    Fingerprint::new("select-differential")
+        .push_str(&format!("{report:?}"))
+        .finish()
+}
+
+/// Runs `spec` and demands the linear reference's digest for `label`.
+/// Returns the report for extra assertions.
+fn check(spec: EngineSpec, events: &[SubmitEvent], label: &str) -> EngineReport {
+    let report = simulate_serial(&spec, events).unwrap();
+    let &(_, want) = LINEAR_DIGESTS
+        .iter()
+        .find(|(l, _)| *l == label)
+        .unwrap_or_else(|| panic!("{label}: no linear-reference digest recorded"));
     assert_eq!(
-        linear, indexed,
-        "{label}: indexed scan diverged from linear reference"
+        digest(&report),
+        want,
+        "{label}: indexed selection diverged from the linear reference"
     );
-    indexed
+    report
 }
 
 #[test]
 fn all_schedulers_agree_across_scan_kinds() {
-    // Parameterized over the *whole* scheduler enum so a newly added
-    // policy cannot silently bypass the Linear-vs-Indexed gate: every
-    // scheduler either proves bit-identity across scan kinds or declares
-    // itself linear-only (and then the indexed path must be a typed
-    // config error, checked in `linear_only_schedulers_reject_indexed`).
+    // Parameterized over the *whole* scheduler enum: every scheduler,
+    // BLISS included, runs on the one indexed path and must reproduce
+    // its linear-reference digest.
     let events = synthetic_workload(4, 4_000, 0.3, 2006);
-    let mut indexed_checked = 0;
     for kind in SchedulerKind::all() {
-        if !kind.supports_indexed_scan() {
-            continue;
-        }
-        indexed_checked += 1;
         let report = check(spec_with(kind, 2, 4), &events, kind.name());
         assert!(report.unsubmitted == 0, "{kind}: mix failed to drain");
         assert!(
@@ -102,46 +176,6 @@ fn all_schedulers_agree_across_scan_kinds() {
             "{kind}: vacuous equivalence — nothing completed"
         );
     }
-    assert!(
-        indexed_checked >= 5,
-        "expected at least 5 indexed-capable schedulers, found {indexed_checked}"
-    );
-}
-
-#[test]
-fn linear_only_schedulers_reject_indexed() {
-    // The complement of the gate above: a scheduler that opts out of the
-    // indexed path must fail loudly — a typed UnsupportedScanError from
-    // config validation and a refused engine run — never run Indexed with
-    // silently different semantics.
-    let events = synthetic_workload(4, 1_000, 0.3, 2006);
-    let mut linear_only = 0;
-    for kind in SchedulerKind::all() {
-        if kind.supports_indexed_scan() {
-            continue;
-        }
-        linear_only += 1;
-        let mut spec = spec_with(kind, 1, 4);
-        assert_eq!(
-            spec.config.scan,
-            ScanKind::Linear,
-            "{kind}: set_scheduler must downgrade"
-        );
-        spec.config.scan = ScanKind::Indexed;
-        let err = spec
-            .config
-            .validate_scan()
-            .expect_err("indexed BLISS accepted");
-        assert_eq!(err.scheduler, kind);
-        assert_eq!(err.scan, ScanKind::Indexed);
-        let run = simulate_serial(&spec, &events);
-        let msg = run.expect_err("engine ran a linear-only scheduler on the indexed path");
-        assert!(
-            msg.contains(kind.name()),
-            "{kind}: error does not name the scheduler: {msg}"
-        );
-    }
-    assert!(linear_only >= 1, "expected BLISS to be linear-only");
 }
 
 #[test]
@@ -243,8 +277,8 @@ fn hierarchical_share_tree_agrees_across_scan_kinds() {
 
 #[test]
 fn hierarchical_indexed_kill_and_resume_is_bit_identical() {
-    // Kill-and-resume on the indexed path with a share tree: the queue
-    // snapshot stores only admission-ordered live entries; heaps, the
+    // Kill-and-resume with a share tree: the queue snapshot stores only
+    // admission-ordered live entries; heaps, the
     // tournament, and the watchdog deadline cache are rebuilt or restored
     // such that the continuation is bit-exact, mid-epoch included.
     let events = synthetic_workload(4, 4_000, 0.4, 2006);
@@ -270,26 +304,91 @@ fn hierarchical_indexed_kill_and_resume_is_bit_identical() {
     }
 }
 
+fn bliss_spec() -> EngineSpec {
+    let mut spec = spec_with(SchedulerKind::Bliss, 2, 4);
+    spec.log_capacity = Some(1 << 20);
+    spec
+}
+
 #[test]
-fn scan_kind_is_part_of_the_checkpoint_fingerprint() {
-    // A checkpoint taken under one scan kind must not resume under the
-    // other: rebuilt index state is scan-dependent, so the fingerprint
-    // binds the bytes to the scan configuration too.
-    let events = synthetic_workload(4, 3_000, 0.4, 7);
-    let mut spec = spec_with(SchedulerKind::FqVftf, 2, 4);
-    spec.config.scan = ScanKind::Indexed;
-    let bytes = simulate_serial_checkpointed(&spec, &events, 1_000).unwrap();
-    spec.config.scan = ScanKind::Linear;
-    match resume_serial(&spec, &events, &bytes) {
-        Err(ResumeError::Snapshot(SnapshotError::ConfigMismatch { .. })) => {}
-        other => panic!("cross-scan-kind resume not rejected: {other:?}"),
+fn bliss_matches_the_linear_reference() {
+    // The blacklist tier moves a thread's queued entries between the
+    // index's tiers at runtime (threshold crossings and clearing
+    // intervals — the run spans two clearings), under faults and on the
+    // cycle-by-cycle path too.
+    let events = synthetic_workload(4, 25_000, 0.3, 2006);
+    check(bliss_spec(), &events, "bliss");
+    let mut spec = bliss_spec();
+    spec.fault_plan = Some(faults(11));
+    spec.retry = RetryPolicy::bounded(6, 2, 64);
+    check(spec, &events, "bliss/faults");
+    let mut spec = bliss_spec();
+    spec.fast_forward = false;
+    check(spec, &events, "bliss/cycle-by-cycle");
+}
+
+/// Two budgeted real-time threads and two best-effort threads, 2
+/// channels, with the regulator as the tier source.
+fn regulated_spec(kind: SchedulerKind) -> EngineSpec {
+    let mut spec = EngineSpec::paper(2, 4);
+    spec.epoch_cycles = 512;
+    spec.event_capacity = Some(1 << 20);
+    spec.log_capacity = Some(1 << 20);
+    let reg = RegulationConfig::new(1_500)
+        .rt_class(4, None)
+        .rt_class(4, None)
+        .best_effort()
+        .best_effort();
+    spec.config = spec.config.with_regulation(reg);
+    spec.config.scheduler = kind;
+    spec
+}
+
+#[test]
+fn regulated_runs_match_the_linear_reference() {
+    // Budget exhaustion demotes a real-time thread and every replenish
+    // boundary promotes it back; the FQ-VFTF locked pick must ignore the
+    // tier yet carry it to the channel scheduler.
+    for kind in [
+        SchedulerKind::Fcfs,
+        SchedulerKind::FrFcfs,
+        SchedulerKind::FqVftf,
+        SchedulerKind::SdVftf,
+    ] {
+        for plan in [None, Some(faults(11))] {
+            let mut spec = regulated_spec(kind);
+            let reg = spec.config.regulation.clone().unwrap();
+            let events = realtime_workload(&reg, 4, 20_000, 0.6, 31);
+            spec.fault_plan = plan.clone();
+            if plan.is_some() {
+                spec.retry = RetryPolicy::bounded(6, 2, 64);
+            }
+            check(
+                spec,
+                &events,
+                &format!("regulated/{kind}/faults={}", plan.is_some()),
+            );
+        }
+    }
+    // A row-conflict-heavy mix, so tiers interact with CAS-vs-RAS ranking.
+    let events = synthetic_workload(4, 20_000, 0.3, 2006);
+    for kind in [
+        SchedulerKind::Fcfs,
+        SchedulerKind::FrFcfs,
+        SchedulerKind::FqVftf,
+    ] {
+        check(
+            regulated_spec(kind),
+            &events,
+            &format!("regulated-mix/{kind}"),
+        );
     }
 }
 
 #[test]
 fn corrupted_checkpoints_fail_typed_and_never_panic() {
     // Randomized truncations and bit flips over a mid-run checkpoint of
-    // the indexed + share-tree configuration (so the damaged bytes cover
+    // the share-tree configuration (so the damaged bytes cover
     // the queue, watchdog-deadline and stats sections). Every corruption
     // must yield a typed SnapshotError through resume — never a panic,
     // never a silent success.

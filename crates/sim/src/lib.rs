@@ -15,8 +15,7 @@
 //! * [`parallel`] — the free-running work-stealing shard executor that runs
 //!   independent simulation partitions (e.g. DDR2 channels) across worker
 //!   threads with no cross-shard synchronisation between merge points, with
-//!   results bit-identical to a serial run (a lockstep epoch-barrier
-//!   reference executor is retained for differential testing),
+//!   results bit-identical to a serial run,
 //! * [`fault`] — seeded fault plans compiled into deterministic episode
 //!   timelines, so adversarial conditions (NACK storms, bank stalls,
 //!   refresh pressure, request drops) are as reproducible as the happy
@@ -54,8 +53,8 @@ pub use bitset::DenseBitSet;
 pub use clock::{ClockDomains, CpuCycle, DramCycle};
 pub use fault::{Episode, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow};
 pub use parallel::{
-    exec_counters, for_each_shard, run_free, run_lockstep, run_parallel, run_serial, ExecCounters,
-    FreeRunReport, Shard, WorkerStats,
+    exec_counters, for_each_shard, run_free, run_parallel, run_serial, ExecCounters, FreeRunReport,
+    Shard, WorkerStats,
 };
 pub use rng::SimRng;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

@@ -11,28 +11,23 @@
 //! bit-identical to serial runs by construction, whatever the thread
 //! count, epoch length, scheduling order, or work-stealing history.
 //!
-//! Two parallel executors are provided:
+//! [`run_free`] (behind [`run_parallel`]) is **free-running**: each
+//! shard advances to its own event horizon with no cross-shard
+//! synchronisation at all. Shards live in a shared claim queue; workers
+//! repeatedly claim a shard, advance it a *quantum* of epochs, and
+//! requeue it, so 16–64 channels load-balance over fewer worker threads
+//! (claiming a shard last advanced by a different worker is a *steal*).
+//! The only sync points are the ones the caller retains: result merge
+//! after the run, and any checkpoint/fault boundary the caller encodes
+//! into `horizon`. Epoch handoff is allocation-free — the claim queue is
+//! built once and tasks are recycled through it. [`run_serial`] is the
+//! reference every parallel run must equal.
 //!
-//! * [`run_free`] (the default behind [`run_parallel`]) — **free-running**:
-//!   each shard advances to its own event horizon with no cross-shard
-//!   synchronisation at all. Shards live in a shared claim queue; workers
-//!   repeatedly claim a shard, advance it a *quantum* of epochs, and
-//!   requeue it, so 16–64 channels load-balance over fewer worker threads
-//!   (claiming a shard last advanced by a different worker is a *steal*).
-//!   The only sync points are the ones the caller retains: result merge
-//!   after the run, and any checkpoint/fault boundary the caller encodes
-//!   into `horizon`. Epoch handoff is allocation-free — the claim queue is
-//!   built once and tasks are recycled through it.
-//! * [`run_lockstep`] — the PR 1 epoch-barrier executor, kept as a
-//!   reference implementation: every worker synchronises on a barrier at
-//!   each epoch boundary (two waits per epoch). Useful for differential
-//!   tests and for measuring what the barriers cost.
-//!
-//! [`run_serial`], [`run_lockstep`], and [`run_free`] all leave the shards
-//! in place (in their original order) so the caller can merge per-shard
-//! results deterministically afterwards. Executor activity (worker counts,
-//! steals, free-run spans, barrier waits) accumulates into process-wide
-//! counters readable via [`exec_counters`].
+//! [`run_serial`] and [`run_free`] both leave the shards in place (in
+//! their original order) so the caller can merge per-shard results
+//! deterministically afterwards. Executor activity (worker counts,
+//! steals, free-run spans) accumulates into process-wide counters
+//! readable via [`exec_counters`].
 //!
 //! # Example
 //!
@@ -64,7 +59,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// A self-contained simulation partition that can be advanced over a
 /// window of cycles independently of every other shard.
@@ -89,7 +84,6 @@ pub const STEAL_QUANTUM_EPOCHS: u64 = 8;
 static WORKERS_PEAK: AtomicU64 = AtomicU64::new(0);
 static STEALS: AtomicU64 = AtomicU64::new(0);
 static FREE_RUN_SPANS: AtomicU64 = AtomicU64::new(0);
-static BARRIER_WAITS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative process-wide executor activity (all runs since process
 /// start). `workers_peak` is the largest worker count any run used;
@@ -102,8 +96,6 @@ pub struct ExecCounters {
     pub steals: u64,
     /// Epoch windows executed without any cross-shard synchronisation.
     pub free_run_spans: u64,
-    /// Barrier waits performed by the lockstep reference executor.
-    pub barrier_waits: u64,
 }
 
 /// Reads the cumulative process-wide executor counters.
@@ -112,28 +104,24 @@ pub fn exec_counters() -> ExecCounters {
         workers_peak: WORKERS_PEAK.load(Ordering::Relaxed),
         steals: STEALS.load(Ordering::Relaxed),
         free_run_spans: FREE_RUN_SPANS.load(Ordering::Relaxed),
-        barrier_waits: BARRIER_WAITS.load(Ordering::Relaxed),
     }
 }
 
-fn note_run(workers: usize, steals: u64, spans: u64, barrier_waits: u64) {
+fn note_run(workers: usize, steals: u64, spans: u64) {
     WORKERS_PEAK.fetch_max(workers as u64, Ordering::Relaxed);
     STEALS.fetch_add(steals, Ordering::Relaxed);
     FREE_RUN_SPANS.fetch_add(spans, Ordering::Relaxed);
-    BARRIER_WAITS.fetch_add(barrier_waits, Ordering::Relaxed);
 }
 
-/// Per-worker activity of one free-running or lockstep run.
+/// Per-worker activity of one free-running run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Shard claims this worker made (first claims included).
     pub claims: u64,
     /// Claims of a shard last advanced by a different worker.
     pub steals: u64,
-    /// Epoch windows this worker executed outside any barrier.
+    /// Epoch windows this worker executed.
     pub free_run_spans: u64,
-    /// Barrier waits (always zero for the free-running executor).
-    pub barrier_waits: u64,
 }
 
 /// Outcome of one [`run_free`] invocation.
@@ -177,7 +165,7 @@ fn check_args(horizon: u64, epoch_cycles: u64) {
 /// the calling thread, one epoch at a time.
 ///
 /// Returns the cycle the run actually reached (a multiple of
-/// `epoch_cycles`, capped at `horizon`).
+/// `epoch_cycles`, capped at `horizon`; 0 when there are no shards).
 ///
 /// # Panics
 ///
@@ -237,11 +225,7 @@ pub fn run_free<S: Shard>(
     check_args(horizon, epoch_cycles);
     assert!(num_threads > 0, "need at least one worker thread");
     if shards.is_empty() {
-        return FreeRunReport {
-            reached: horizon,
-            workers: 0,
-            per_worker: Vec::new(),
-        };
+        return FreeRunReport::default();
     }
     let workers = num_threads.min(shards.len());
     let num_shards = shards.len();
@@ -341,7 +325,7 @@ pub fn run_free<S: Shard>(
     }
     let steals: u64 = per_worker.iter().map(|w| w.steals).sum();
     let spans: u64 = per_worker.iter().map(|w| w.free_run_spans).sum();
-    note_run(workers, steals, spans, 0);
+    note_run(workers, steals, spans);
     FreeRunReport {
         reached: reached.load(Ordering::Acquire),
         workers,
@@ -371,11 +355,9 @@ pub fn run_parallel<S: Shard>(
 ) -> u64 {
     check_args(horizon, epoch_cycles);
     assert!(num_threads > 0, "need at least one worker thread");
-    if shards.is_empty() {
-        return horizon;
-    }
-    if num_threads.min(shards.len()) == 1 {
-        // One worker free-runs by definition; skip the queue machinery.
+    if num_threads.min(shards.len()) <= 1 {
+        // One worker (or none) free-runs by definition; skip the queue
+        // machinery.
         return run_serial(shards, horizon, epoch_cycles);
     }
     run_free(
@@ -386,91 +368,6 @@ pub fn run_parallel<S: Shard>(
         STEAL_QUANTUM_EPOCHS,
     )
     .reached
-}
-
-/// The PR 1 epoch-barrier executor, retained as a lockstep reference:
-/// shards are dealt round-robin across workers and every worker
-/// synchronises on a barrier twice per epoch, so no shard ever runs more
-/// than one epoch ahead of another. Bit-identical to [`run_serial`] and
-/// [`run_free`]; kept for differential tests and for measuring barrier
-/// overhead (each wait is counted into [`exec_counters`]).
-///
-/// Returns the cycle the run actually reached.
-///
-/// # Panics
-///
-/// Panics if `horizon`, `epoch_cycles`, or `num_threads` is zero, or if a
-/// worker thread panics (a shard's own panic is propagated).
-pub fn run_lockstep<S: Shard>(
-    shards: &mut [S],
-    horizon: u64,
-    epoch_cycles: u64,
-    num_threads: usize,
-) -> u64 {
-    check_args(horizon, epoch_cycles);
-    assert!(num_threads > 0, "need at least one worker thread");
-    if shards.is_empty() {
-        return horizon;
-    }
-    let workers = num_threads.min(shards.len());
-    if workers == 1 {
-        return run_serial(shards, horizon, epoch_cycles);
-    }
-
-    // Round-robin deal so consecutive (often similarly loaded) shards
-    // spread across workers. Each worker gets disjoint `&mut` access.
-    let mut lanes: Vec<Vec<&mut S>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, shard) in shards.iter_mut().enumerate() {
-        lanes[i % workers].push(shard);
-    }
-
-    let barrier = Barrier::new(workers);
-    let remaining = AtomicUsize::new(lanes.iter().map(Vec::len).sum());
-    let waits = AtomicU64::new(0);
-    let reached = std::thread::scope(|scope| {
-        let handles: Vec<_> = lanes
-            .into_iter()
-            .map(|lane| {
-                let barrier = &barrier;
-                let remaining = &remaining;
-                let waits = &waits;
-                scope.spawn(move || {
-                    let mut lane = lane;
-                    let mut done = vec![false; lane.len()];
-                    let mut start = 0u64;
-                    while start < horizon {
-                        let end = horizon.min(start + epoch_cycles);
-                        for (shard, d) in lane.iter_mut().zip(done.iter_mut()) {
-                            if !*d && !shard.run_epoch(start, end) {
-                                *d = true;
-                                remaining.fetch_sub(1, Ordering::AcqRel);
-                            }
-                        }
-                        // Two barriers per epoch: all decrements for this
-                        // epoch happen before the first, and the next
-                        // epoch's decrements happen only after the second,
-                        // so between them every worker reads the same
-                        // count and makes the same continue/stop decision.
-                        barrier.wait();
-                        let all_drained = remaining.load(Ordering::Acquire) == 0;
-                        barrier.wait();
-                        waits.fetch_add(2, Ordering::Relaxed);
-                        start = end;
-                        if all_drained {
-                            break;
-                        }
-                    }
-                    start
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .fold(0u64, u64::max)
-    });
-    note_run(workers, 0, 0, waits.load(Ordering::Relaxed));
-    reached
 }
 
 /// Runs `f` once per shard across `num_threads` workers and returns the
@@ -547,7 +444,7 @@ where
             .expect("panic flag set without payload");
         resume_unwind(payload);
     }
-    note_run(workers, 0, 0, 0);
+    note_run(workers, 0, 0);
     results
         .into_iter()
         .map(|r| {
@@ -604,20 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_matches_serial() {
-        for threads in 1..=6 {
-            let mut serial: Vec<Recorder> = (0..7).map(|i| Recorder::new(50 + i * 37)).collect();
-            let mut lockstep: Vec<Recorder> = (0..7).map(|i| Recorder::new(50 + i * 37)).collect();
-            let a = run_serial(&mut serial, 10_000, 64);
-            let b = run_lockstep(&mut lockstep, 10_000, 64, threads);
-            assert_eq!(a, b, "{threads} threads: reached different cycles");
-            for (s, p) in serial.iter().zip(&lockstep) {
-                assert_eq!(s.windows, p.windows, "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn free_run_matches_serial_across_quanta() {
         for quantum in [0u64, 1, 2, 7, 64] {
             let mut serial: Vec<Recorder> = (0..5).map(|i| Recorder::new(30 + i * 91)).collect();
@@ -667,8 +550,11 @@ mod tests {
 
     #[test]
     fn empty_shard_list_is_a_noop() {
+        // No shard ran, so no executor reached any cycle.
         let mut shards: Vec<Recorder> = Vec::new();
-        assert_eq!(run_parallel(&mut shards, 100, 10, 4), 100);
+        assert_eq!(run_serial(&mut shards, 100, 10), 0);
+        assert_eq!(run_parallel(&mut shards, 100, 10, 4), 0);
+        assert_eq!(run_free(&mut shards, 100, 10, 4, 2).reached, 0);
     }
 
     #[test]
