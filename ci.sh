@@ -33,9 +33,15 @@ cargo test -q --release --offline -p fqms-sim --test freerun_properties
 echo "=== release: prewarm equivalence over every profile ==="
 cargo test -q --release --offline -p fqms-integration --test prewarm_equivalence
 
+echo "=== release: event-driven System::run == per-cycle loop, every configuration ==="
+cargo test -q --release --offline -p fqms-integration --test system_fast_forward
+
 echo "=== release: benchmark replicas == System::run and the engine ==="
-# The benchmark replays the library's loops through its public calls and
-# asserts equal results, so a library change that breaks it fails here.
+# The benchmark's paper replica steps System::run's loop cycle by cycle
+# through the public Core and MultiChannelController calls, so it is the
+# per-cycle oracle the event-driven System::run must equal; the engine
+# replica likewise replays the engine's loop. A library change that
+# breaks either equality fails here.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "=== speedup smoke gate: free-run parallel never slower + >=5x over cycle-by-cycle ==="

@@ -432,6 +432,7 @@ impl SystemBuilder {
             finish_cycles: vec![None; n],
             finish_insts: vec![0; n],
             completion_scratch: Vec::new(),
+            applied: Vec::new(),
             fingerprint,
             checkpoint,
         })
@@ -461,6 +462,9 @@ pub struct System {
     /// Reused completion scratch buffer: the per-cycle controller drain
     /// appends here instead of allocating a fresh `Vec` every DRAM cycle.
     completion_scratch: Vec<fqms_memctrl::controller::Completion>,
+    /// Reused per-cycle scratch: the CPU cycle up to which each core's
+    /// ticks of the current DRAM cycle have been applied.
+    applied: Vec<CpuCycle>,
     /// FNV-1a digest of every configuration input that determines the
     /// simulation trajectory; snapshots embed it so cross-configuration
     /// restores are rejected up front.
@@ -494,18 +498,61 @@ impl System {
     /// Advances the whole system by one DRAM cycle (`cpu_ratio` CPU cycles
     /// per core, then one controller step, then completion routing).
     pub fn step(&mut self) {
+        self.advance();
+    }
+
+    /// [`System::step`]. A blocked core (see [`Core::blocked_until`])
+    /// repeats its blocked tick instead of ticking until its wake cycle.
+    /// Unobserved, every such tick of this DRAM cycle is applied in one
+    /// call: the refusals only count NACKs, so their order against other
+    /// cores' ticks does not matter. Observed, one tick at a time, so the
+    /// refusal events interleave exactly as ticks would emit them.
+    /// Buffer entries free only with a completion (a read's data, or a
+    /// write's CAS), so after one every core waiting on a refusal asks the
+    /// controller whether it would now admit the request.
+    ///
+    /// Returns true when the step was quiescent and every core is blocked:
+    /// nothing changes until the earliest controller event or core wake.
+    fn advance(&mut self) -> bool {
         self.dram_now.tick();
+        let now = self.dram_now;
         let ratio = self.clocks.cpu_ratio();
-        let base_cpu = self.dram_now.as_u64() * ratio;
-        for sub in 0..ratio {
-            let now_cpu = CpuCycle::new(base_cpu + sub);
-            for core in &mut self.cores {
-                core.tick(now_cpu, self.dram_now, &mut self.mc);
+        let base_cpu = now.as_u64() * ratio;
+        let end = base_cpu + ratio;
+        let observed = self.mc.is_observed();
+        let mut applied = std::mem::take(&mut self.applied);
+        applied.clear();
+        applied.resize(self.cores.len(), CpuCycle::new(base_cpu));
+        for now_cpu in (base_cpu..end).map(CpuCycle::new) {
+            for (core, applied) in self.cores.iter_mut().zip(&mut applied) {
+                if *applied > now_cpu {
+                    continue;
+                }
+                match core.blocked_until() {
+                    Some(wake) if wake > now_cpu => {
+                        let ticks = if observed {
+                            1
+                        } else {
+                            wake.as_u64().min(end) - now_cpu.as_u64()
+                        };
+                        core.repeat_blocked(ticks, now, &mut self.mc);
+                        *applied = now_cpu + ticks;
+                    }
+                    _ => core.tick(now_cpu, now, &mut self.mc),
+                }
             }
         }
+        self.applied = applied;
         let mut done = std::mem::take(&mut self.completion_scratch);
         done.clear();
-        self.mc.step_into(self.dram_now, &mut done);
+        let issued = self.mc.step_into(now, &mut done);
+        let quiescent = !issued && done.is_empty();
+        if !done.is_empty() {
+            for core in &mut self.cores {
+                let thread = core.thread();
+                core.retry_refused(|kind, addr| self.mc.can_accept(thread, kind, addr));
+            }
+        }
         for c in &done {
             if c.kind == RequestKind::Read {
                 let ready = CpuCycle::new(c.finish.as_u64() * ratio + self.overhead);
@@ -513,6 +560,56 @@ impl System {
             }
         }
         self.completion_scratch = done;
+        quiescent && self.cores.iter().all(|core| core.blocked_until().is_some())
+    }
+
+    /// Jumps from a quiescent cycle with every core blocked (see
+    /// [`System::advance`]) to just before the first cycle that can
+    /// differ: the earliest controller event, core wake, checkpoint or
+    /// the cycle cap, each of which is then stepped. The blocked ticks of
+    /// the skipped cycles are applied in bulk and the cycles are counted
+    /// as skipped. No jump starts at a checkpoint: a run resumed there
+    /// steps the next cycle, so the uninterrupted run must too.
+    fn fast_forward(&mut self, start: DramCycle, max_dram_cycles: u64) {
+        let now = self.dram_now.as_u64();
+        let ratio = self.clocks.cpu_ratio();
+        let mut target = start.as_u64().saturating_add(max_dram_cycles);
+        for core in &self.cores {
+            let wake = core.blocked_until().expect("every core is blocked");
+            target = target.min(wake.as_u64() / ratio);
+        }
+        if let Some(ck) = &self.checkpoint {
+            let since = (now - start.as_u64()) % ck.every;
+            if since == 0 {
+                return;
+            }
+            target = target.min(now + ck.every - since);
+        }
+        // The controller's bound costs a scan of its banks: ask last.
+        if target <= now + 1 {
+            return;
+        }
+        target = target.min(self.mc.next_event_cycle(self.dram_now).as_u64());
+        if target <= now + 1 {
+            return;
+        }
+        let last = DramCycle::new(target - 1);
+        if self.mc.is_observed() {
+            for cycle in now + 1..target {
+                for _ in 0..ratio {
+                    for core in &mut self.cores {
+                        core.repeat_blocked(1, DramCycle::new(cycle), &mut self.mc);
+                    }
+                }
+            }
+        } else {
+            let ticks = (target - 1 - now) * ratio;
+            for core in &mut self.cores {
+                core.repeat_blocked(ticks, last, &mut self.mc);
+            }
+        }
+        self.mc.skip_until(last);
+        self.dram_now = last;
     }
 
     /// Zeroes all measurement counters (core IPC accounting, controller and
@@ -790,7 +887,7 @@ impl System {
             }
         };
         loop {
-            self.step();
+            let quiescent = self.advance();
             let mut all_done = true;
             for (i, core) in self.cores.iter().enumerate() {
                 if self.finish_cycles[i].is_none() {
@@ -816,6 +913,9 @@ impl System {
                 break;
             }
             self.maybe_checkpoint(start, instructions_per_thread, max_dram_cycles, export);
+            if quiescent {
+                self.fast_forward(start, max_dram_cycles);
+            }
         }
         self.discard_checkpoint();
         self.mc.finish(self.dram_now);
@@ -890,6 +990,59 @@ mod tests {
             .unwrap();
         let m = system.run(1_000, 10_000);
         assert!(m.threads[0].ipc > 0.0);
+    }
+
+    #[test]
+    fn run_terminates_on_a_trace_of_empty_elements() {
+        use fqms_cpu::trace::TraceOp;
+        let mut system = SystemBuilder::new()
+            .workload_trace("x", Box::new(|| TraceOp::compute(0)), 0)
+            .build()
+            .unwrap();
+        let m = system.run(1, 10);
+        assert_eq!(m.elapsed_dram_cycles, 10);
+        assert_eq!(m.threads[0].instructions, 0);
+    }
+
+    #[test]
+    fn fast_forward_partitions_the_run_and_feeds_telemetry() {
+        for channels in [1, 2] {
+            let mut sys = SystemBuilder::new()
+                .scheduler(SchedulerKind::FqVftf)
+                .channels(channels)
+                .workload(by_name("art").unwrap())
+                .workload(by_name("swim").unwrap())
+                .seed(4)
+                .build()
+                .unwrap();
+            let (_, skipped_before) = crate::telemetry::controller_cycles();
+            let m = sys.run(20_000, 2_000_000);
+            let mc = sys.controller();
+            assert_eq!(
+                mc.stepped_cycles() + mc.skipped_cycles(),
+                m.elapsed_dram_cycles * channels as u64
+            );
+            assert!(mc.skipped_cycles() > 0, "a memory-bound pair never jumped");
+            let (_, skipped_after) = crate::telemetry::controller_cycles();
+            assert!(skipped_after - skipped_before >= mc.skipped_cycles());
+        }
+    }
+
+    #[test]
+    fn a_jump_stops_at_the_cycle_cap() {
+        // A memory-bound pair jumps often; wherever the cap falls, the run
+        // ends exactly on it.
+        for cap in [1_000, 4_321, 9_999] {
+            let mut sys = SystemBuilder::new()
+                .workload(by_name("art").unwrap())
+                .workload(by_name("swim").unwrap())
+                .seed(3)
+                .build()
+                .unwrap();
+            let m = sys.run(u64::MAX / 2, cap);
+            assert_eq!(m.elapsed_dram_cycles, cap);
+            assert!(sys.controller().skipped_cycles() > 0);
+        }
     }
 
     #[test]

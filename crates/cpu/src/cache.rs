@@ -278,6 +278,14 @@ impl Cache {
         }
     }
 
+    /// Accounts `n` [`Cache::probe`]s of an absent line: stamps and
+    /// counters advance exactly as those probes would advance them, and no
+    /// line is touched.
+    pub fn repeat_misses(&mut self, n: u64) {
+        self.stamp += n;
+        self.misses += n;
+    }
+
     /// `(hits, misses)` counted so far.
     pub fn hit_miss_counts(&self) -> (u64, u64) {
         (self.hits, self.misses)

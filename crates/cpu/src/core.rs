@@ -207,12 +207,50 @@ impl L2Handle {
             L2Handle::Shared(c) => c.borrow_mut().probe_fill(addr, write),
         };
     }
+
+    fn repeat_misses(&mut self, n: u64) {
+        match self {
+            L2Handle::Private(c) => c.repeat_misses(n),
+            L2Handle::Shared(c) => c.borrow_mut().repeat_misses(n),
+        }
+    }
+}
+
+/// Why a blocked core's dispatch stops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stall {
+    /// The ROB is full.
+    RobFull,
+    /// A dependent access waits on the previous load miss.
+    Dependence,
+    /// A store waits for room in the writeback queue.
+    StoreQueueFull,
+    /// A load missed L1 and L2 and every MSHR is busy.
+    MshrsFull,
+    /// A load missed L1 and L2 and the port refused its read (buffer
+    /// full); the address is the one it re-submits.
+    Nack(u64),
+}
+
+/// What every tick of a blocked core does besides counting: until the
+/// ROB head becomes ready, a completion arrives, or the port frees a
+/// buffer entry, it retires nothing and has its submits refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Blocked {
+    /// The writeback the port refused (buffer full), if one is queued.
+    writeback: Option<u64>,
+    stall: Stall,
 }
 
 /// Consecutive pure-compute trace elements after which
 /// [`Core::prewarm_caches`] stops: the trace is taken to have no (more)
 /// memory accesses to warm with.
 pub const PREWARM_MAX_IDLE_OPS: u64 = 1 << 20;
+
+/// Trace elements with neither work nor an access that one
+/// [`Core::tick`] consumes at most; the tick's dispatch then ends, so a
+/// source of such elements cannot hang it.
+pub const TICK_MAX_EMPTY_OPS: u32 = 1 << 10;
 
 /// A trace-driven core attached to a shared memory controller as one
 /// hardware thread.
@@ -239,6 +277,9 @@ pub struct Core {
     /// Load-miss round-trip latency distribution (CPU cycles; 32-cycle
     /// buckets out to ~8K cycles).
     latency_hist: Histogram,
+    /// Set when the last tick left the core blocked (see
+    /// [`Core::blocked_until`]).
+    blocked: Option<Blocked>,
 }
 
 impl std::fmt::Debug for Core {
@@ -283,6 +324,7 @@ impl Core {
             cycles: 0,
             stats: CoreStats::default(),
             latency_hist: Histogram::new(32, 256),
+            blocked: None,
         })
     }
 
@@ -332,6 +374,16 @@ impl Core {
         &self.stats
     }
 
+    /// `(hits, misses)` of the L1 data cache and of the L2 (for a shared
+    /// L2, the shared cache's totals).
+    pub fn cache_hit_miss_counts(&self) -> [(u64, u64); 2] {
+        let l2 = match &self.l2 {
+            L2Handle::Private(c) => c.hit_miss_counts(),
+            L2Handle::Shared(c) => c.borrow().hit_miss_counts(),
+        };
+        [self.l1d.hit_miss_counts(), l2]
+    }
+
     /// The distribution of load-miss round-trip latencies in CPU cycles.
     pub fn latency_histogram(&self) -> &Histogram {
         &self.latency_hist
@@ -363,6 +415,7 @@ impl Core {
     /// stores go to L2 only, loads to L1 and, on an L1 miss, to L2. The
     /// trace is read through [`TraceSource::next_access`].
     pub fn prewarm_caches(&mut self, accesses: u64) {
+        self.blocked = None;
         let mut warmed = 0;
         let mut idle = 0;
         while warmed < accesses {
@@ -389,8 +442,88 @@ impl Core {
     pub fn tick<P: MemoryPort>(&mut self, now: CpuCycle, now_dram: DramCycle, mc: &mut P) {
         self.cycles += 1;
         self.retire(now);
-        self.drain_writeback(now_dram, mc);
-        self.dispatch(now, now_dram, mc);
+        let refused = self.drain_writeback(now_dram, mc);
+        let stall = self.dispatch(now, now_dram, mc);
+        // The next drain offers the same writeback only if this one was
+        // refused: dispatch queues new ones at the back.
+        self.blocked = stall.and_then(|stall| match self.writeback_q.front() {
+            None => Some(Blocked {
+                writeback: None,
+                stall,
+            }),
+            Some(&front) => (refused == Some(front)).then_some(Blocked {
+                writeback: Some(front),
+                stall,
+            }),
+        });
+    }
+
+    /// `Some(wake)` when the last [`Core::tick`] left the core blocked:
+    /// dispatch stopped at a stall that the next tick meets again, and any
+    /// queued writeback was just refused with a buffer-full NACK. Every
+    /// tick before CPU cycle `wake`, the ROB head's ready time
+    /// ([`CpuCycle::MAX`] while it waits on memory), then retires nothing,
+    /// reads no trace element and sends nothing: it only counts a cycle,
+    /// the stall and any L1/L2 misses of the load it retries, and has its
+    /// writeback and read refused again. That holds until a completion
+    /// arrives ([`Core::on_completion`] clears the state) or, if a submit
+    /// was refused, the port may admit again (the driver calls
+    /// [`Core::retry_refused`]).
+    ///
+    /// A retry that probes a shared L2 never blocks: another core can
+    /// fill the line between two ticks.
+    pub fn blocked_until(&self) -> Option<CpuCycle> {
+        self.blocked
+            .map(|_| self.rob.front().map_or(CpuCycle::MAX, |e| e.ready_at))
+    }
+
+    /// The port may now admit a request it refused. `admits(kind, addr)`
+    /// tells whether it would; a blocked state with a refused submit that
+    /// it would admit is forgotten, so the next tick runs in full.
+    pub fn retry_refused(&mut self, admits: impl Fn(RequestKind, u64) -> bool) {
+        let Some(b) = self.blocked else {
+            return;
+        };
+        let write = b
+            .writeback
+            .is_some_and(|addr| admits(RequestKind::Write, addr));
+        let read = matches!(b.stall, Stall::Nack(addr) if admits(RequestKind::Read, addr));
+        if write || read {
+            self.blocked = None;
+        }
+    }
+
+    /// Applies `n` ticks of a blocked core in O(1) (see
+    /// [`Core::blocked_until`]); the caller guarantees none of them
+    /// reaches the wake cycle. Each refused request is re-submitted `n`
+    /// times through [`MemoryPort::resubmit_refused`] at `now_dram`, the
+    /// writebacks before the reads: one tick at a time keeps the
+    /// per-tick order the port sees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core is not blocked.
+    pub fn repeat_blocked<P: MemoryPort>(&mut self, n: u64, now_dram: DramCycle, mc: &mut P) {
+        let blocked = self
+            .blocked
+            .expect("repeat_blocked on a core that is not blocked");
+        self.cycles += n;
+        if let Some(addr) = blocked.writeback {
+            mc.resubmit_refused(self.thread, RequestKind::Write, addr, now_dram, n);
+        }
+        match blocked.stall {
+            Stall::RobFull => {}
+            Stall::Dependence => self.stats.dependence_stall_cycles += n,
+            Stall::StoreQueueFull => self.stats.backpressure_stall_cycles += n,
+            Stall::MshrsFull | Stall::Nack(_) => {
+                self.l1d.repeat_misses(n);
+                self.l2.repeat_misses(n);
+                self.stats.backpressure_stall_cycles += n;
+                if let Stall::Nack(addr) = blocked.stall {
+                    mc.resubmit_refused(self.thread, RequestKind::Read, addr, now_dram, n);
+                }
+            }
+        }
     }
 
     /// Delivers a completed read. `data_ready` is the CPU cycle at which
@@ -408,6 +541,7 @@ impl Core {
             RequestKind::Read,
             "cores only track read completions"
         );
+        self.blocked = None;
         let miss = self
             .outstanding
             .remove(&c.id)
@@ -431,10 +565,13 @@ impl Core {
         if demand {
             let _ = self.l1d.fill(miss.line, false); // L1 load lines are never dirty
         }
-        for seq in &miss.entry_seqs {
-            if let Some(e) = self.rob.iter_mut().find(|e| e.seq == *seq) {
-                e.ready_at = data_ready;
-            }
+        // ROB sequence numbers are contiguous, and an entry waiting on a
+        // miss cannot retire, so each one sits at its offset from the head.
+        for &seq in &miss.entry_seqs {
+            let head = self.rob.front().expect("a waiting entry is in the ROB").seq;
+            let e = &mut self.rob[(seq - head) as usize];
+            debug_assert_eq!(e.seq, seq, "ROB sequence numbers are contiguous");
+            e.ready_at = data_ready;
         }
     }
 
@@ -458,14 +595,16 @@ impl Core {
         }
     }
 
-    fn drain_writeback<P: MemoryPort>(&mut self, now_dram: DramCycle, mc: &mut P) {
-        if let Some(&addr) = self.writeback_q.front() {
-            if mc
-                .submit(self.thread, RequestKind::Write, addr, now_dram)
-                .is_ok()
-            {
+    /// Offers the oldest queued writeback to the port; returns its address
+    /// if the port refused it as buffer-full.
+    fn drain_writeback<P: MemoryPort>(&mut self, now_dram: DramCycle, mc: &mut P) -> Option<u64> {
+        let &addr = self.writeback_q.front()?;
+        match mc.submit(self.thread, RequestKind::Write, addr, now_dram) {
+            Ok(_) => {
                 self.writeback_q.pop_front();
+                None
             }
+            Err(nack) => nack.is_buffer_full().then_some(addr),
         }
     }
 
@@ -481,8 +620,18 @@ impl Core {
         seq
     }
 
-    fn dispatch<P: MemoryPort>(&mut self, now: CpuCycle, now_dram: DramCycle, mc: &mut P) {
+    /// Dispatches up to `issue_width` instructions. Returns the stall it
+    /// stopped at when the next dispatch would stop there again at once;
+    /// `None` when it stopped for lack of issue slots or on a stall that
+    /// may lift by itself.
+    fn dispatch<P: MemoryPort>(
+        &mut self,
+        now: CpuCycle,
+        now_dram: DramCycle,
+        mc: &mut P,
+    ) -> Option<Stall> {
         let mut budget = self.config.issue_width;
+        let mut empty = 0;
         while budget > 0 && self.rob_insts < self.config.rob_size {
             if self.current.is_none() {
                 let op: TraceOp = self.trace.next_op();
@@ -506,13 +655,18 @@ impl Core {
             }
             let Some(acc) = cur.access else {
                 self.current = None;
+                empty += 1;
+                if empty == TICK_MAX_EMPTY_OPS {
+                    return None;
+                }
                 continue;
             };
             if acc.dependent {
                 if let Some(prev) = self.last_load_miss {
                     if self.outstanding.contains_key(&prev) {
                         self.stats.dependence_stall_cycles += 1;
-                        break; // pointer chase: wait for the previous load
+                        // Pointer chase: wait for the previous load.
+                        return Some(Stall::Dependence);
                     }
                 }
             }
@@ -521,20 +675,21 @@ impl Core {
             } else {
                 self.dispatch_load(acc.addr, now, now_dram, mc)
             };
-            if !dispatched {
+            if let Err(stall) = dispatched {
                 self.stats.backpressure_stall_cycles += 1;
-                break;
+                return stall;
             }
             budget -= 1;
             self.current = None;
         }
+        (self.rob_insts >= self.config.rob_size).then_some(Stall::RobFull)
     }
 
     /// Stores merge into the private L2 (idealized store-merge buffer):
     /// no read-for-ownership; dirty evictions become writebacks.
-    fn dispatch_store(&mut self, addr: u64, now: CpuCycle) -> bool {
+    fn dispatch_store(&mut self, addr: u64, now: CpuCycle) -> Result<(), Option<Stall>> {
         if self.writeback_q.len() >= self.config.writeback_queue {
-            return false;
+            return Err(Some(Stall::StoreQueueFull));
         }
         self.stats.stores += 1;
         match self.l2.probe(addr, true) {
@@ -549,23 +704,27 @@ impl Core {
         // Keep L1 coherent-ish: if the line is resident in L1, refresh it.
         let _ = self.l1d.probe(addr, false);
         self.push_rob(1, now);
-        true
+        Ok(())
     }
 
+    /// Sends a load down the hierarchy. On a stall, returns the blocked
+    /// reason when a retry would repeat it exactly: never through a shared
+    /// L2, which other cores fill, nor after a NACK that may lift on its
+    /// own (throttle) or is terminal (shed).
     fn dispatch_load<P: MemoryPort>(
         &mut self,
         addr: u64,
         now: CpuCycle,
         now_dram: DramCycle,
         mc: &mut P,
-    ) -> bool {
+    ) -> Result<(), Option<Stall>> {
         let line = addr & !(self.config.l1d.line_bytes - 1);
         // Probe L1.
         if self.l1d.probe(addr, false) == Lookup::Hit {
             self.stats.loads += 1;
             self.stats.l1_hits += 1;
             self.push_rob(1, now + self.config.l1d.latency);
-            return true;
+            return Ok(());
         }
         // Probe L2.
         if self.l2.probe(addr, false) == Lookup::Hit {
@@ -573,7 +732,7 @@ impl Core {
             self.stats.l2_hits += 1;
             let _ = self.l1d.fill(line, false);
             self.push_rob(1, now + self.config.l2.latency);
-            return true;
+            return Ok(());
         }
         // Memory. Coalesce into an existing MSHR if the line is in flight.
         if let Some(&req) = self.mshr_by_line.get(&line) {
@@ -586,10 +745,11 @@ impl Core {
             }
             miss.entry_seqs.push(seq);
             self.last_load_miss = Some(req);
-            return true;
+            return Ok(());
         }
+        let private = matches!(self.l2, L2Handle::Private(_));
         if self.mshr_by_line.len() >= self.config.mshrs as usize {
-            return false; // all MSHRs busy
+            return Err(private.then_some(Stall::MshrsFull));
         }
         match mc.submit(self.thread, RequestKind::Read, addr, now_dram) {
             Ok(req) => {
@@ -608,9 +768,10 @@ impl Core {
                 self.mshr_by_line.insert(line, req);
                 self.last_load_miss = Some(req);
                 self.issue_prefetches(line, now, now_dram, mc);
-                true
+                Ok(())
             }
-            Err(_) => false, // NACK: retry next cycle
+            // NACK: retry next cycle.
+            Err(nack) => Err((private && nack.is_buffer_full()).then_some(Stall::Nack(addr))),
         }
     }
 
@@ -714,6 +875,7 @@ impl Core {
     /// [`SnapshotError::Malformed`] when the snapshot disagrees with this
     /// core's configuration (thread id, cache geometry, capacities).
     pub fn restore_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
+        self.blocked = None;
         let thread = r.get_u32()?;
         if thread != self.thread.as_u32() {
             return Err(r.malformed(format!(
@@ -1157,6 +1319,80 @@ mod tests {
         core.prewarm_caches(1);
         assert_eq!(ops.get(), 3 + PREWARM_MAX_IDLE_OPS);
         assert_eq!(core.l1d.hit_miss_counts(), (0, 2));
+    }
+
+    #[test]
+    fn a_tick_stops_after_a_run_of_empty_elements() {
+        use std::cell::Cell;
+        let ops = Rc::new(Cell::new(0u64));
+        let counter = Rc::clone(&ops);
+        let trace = move || {
+            counter.set(counter.get() + 1);
+            TraceOp::compute(0)
+        };
+        let mut core = Core::new(CoreConfig::paper(), ThreadId::new(0), Box::new(trace)).unwrap();
+        let mut mcc = mc();
+        core.tick(CpuCycle::new(5), DramCycle::new(1), &mut mcc);
+        assert_eq!(ops.get(), u64::from(TICK_MAX_EMPTY_OPS));
+        assert_eq!(core.retired(), 0);
+        assert_eq!(core.blocked_until(), None);
+    }
+
+    fn state(core: &Core, mc: &fqms_memctrl::controller::MemoryController) -> Vec<u8> {
+        use fqms_sim::snapshot::SnapshotWriter;
+        let mut w = SnapshotWriter::new(0);
+        let mut saved = Ok(());
+        w.section("core", |s| saved = core.save_state(s));
+        saved.unwrap();
+        w.section("mc", |s| mc.save(s));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn repeated_blocked_ticks_equal_ticks() {
+        // Streaming loads and stores fill the buffers; stop in a blocked
+        // stretch and compare n bulk ticks against n ticks.
+        let build = || {
+            let core = Core::new(
+                CoreConfig::paper(),
+                ThreadId::new(0),
+                Box::new(StridedTrace { i: 0 }),
+            )
+            .unwrap();
+            (core, mc())
+        };
+        let (mut a, mut mc_a) = build();
+        let (mut b, mut mc_b) = build();
+        let mut checked = 0;
+        for dram_c in 1..=20_000u64 {
+            let now_dram = DramCycle::new(dram_c);
+            for sub in 0..5 {
+                // Bulk-apply the rest of this DRAM cycle when a is blocked
+                // through it.
+                let (now, n) = (dram_c * 5 + sub, 5 - sub);
+                let wake = a.blocked_until().map_or(0, CpuCycle::as_u64);
+                if wake > now + n {
+                    a.repeat_blocked(n, now_dram, &mut mc_a);
+                    for t in now..now + n {
+                        b.tick(CpuCycle::new(t), now_dram, &mut mc_b);
+                    }
+                    assert!(state(&a, &mc_a) == state(&b, &mc_b), "diverged at {now}");
+                    assert_eq!(b.blocked_until(), Some(CpuCycle::new(wake)));
+                    checked += 1;
+                    break;
+                }
+                a.tick(CpuCycle::new(now), now_dram, &mut mc_a);
+                b.tick(CpuCycle::new(now), now_dram, &mut mc_b);
+            }
+            for (core, mc) in [(&mut a, &mut mc_a), (&mut b, &mut mc_b)] {
+                for c in mc.step(now_dram) {
+                    if c.kind == RequestKind::Read {
+                        core.on_completion(&c, CpuCycle::new(c.finish.as_u64() * 5 + 96));
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} blocked stretches");
     }
 
     #[test]

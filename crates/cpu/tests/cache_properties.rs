@@ -228,3 +228,35 @@ fn shift_mask_indexing_matches_division_oracle() {
         }
     }
 }
+
+/// `repeat_misses(n)` is `n` probes of an absent line: byte-identical
+/// state (stamps and counters) whatever the cache holds, and later
+/// fills and evictions come out the same.
+#[test]
+fn repeat_misses_matches_missing_probes() {
+    for cfg in geometries() {
+        let mut rng = SimRng::new(0x2E9E_A700);
+        let mut bulk = Cache::new(cfg).unwrap();
+        let mut probed = Cache::new(cfg).unwrap();
+        let span = 2 * cfg.size_bytes / cfg.line_bytes;
+        for round in 0..200 {
+            for _ in 0..50 {
+                let addr = rng.next_below(span) * cfg.line_bytes;
+                let write = rng.chance(0.3);
+                assert_eq!(bulk.probe_fill(addr, write), probed.probe_fill(addr, write));
+            }
+            // An address beyond the span is never resident.
+            let absent = (span + rng.next_below(span)) * cfg.line_bytes;
+            let n = rng.next_below(20);
+            bulk.repeat_misses(n);
+            for _ in 0..n {
+                assert_eq!(probed.probe(absent, false), Lookup::Miss);
+            }
+            assert_eq!(
+                state_bytes(&bulk),
+                state_bytes(&probed),
+                "{cfg:?} round {round}"
+            );
+        }
+    }
+}

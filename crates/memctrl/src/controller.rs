@@ -754,6 +754,43 @@ impl MemoryController {
         Ok(id)
     }
 
+    /// [`MemoryPort::resubmit_refused`](crate::port::MemoryPort::resubmit_refused)
+    /// with an [`Observer`] attached: `n` refused submits of one request.
+    /// With no observer, fault plan or overload layer attached, a refusal
+    /// is the buffer check alone and changes nothing but the thread's NACK
+    /// count, so the `n` refusals are one addition; otherwise each is a
+    /// real [`MemoryController::try_submit_observed`], with its events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request would be admitted.
+    pub fn resubmit_refused_observed<O: Observer>(
+        &mut self,
+        thread: ThreadId,
+        kind: RequestKind,
+        phys: u64,
+        now: DramCycle,
+        n: u64,
+        obs: &mut O,
+    ) {
+        if O::ENABLED || self.fault.is_some() || self.overload.is_some() {
+            for _ in 0..n {
+                let refused = self.try_submit_observed(thread, kind, phys, now, obs);
+                assert!(
+                    refused.is_err(),
+                    "resubmit_refused admitted {thread} {kind:?}"
+                );
+            }
+        } else if n > 0 {
+            assert!(
+                !self.can_accept(thread, kind),
+                "resubmit_refused: {thread} {kind:?} would be admitted"
+            );
+            self.skip_marker = None;
+            self.stats.thread_mut(thread).nacks += n;
+        }
+    }
+
     /// Records watchdog progress for `thread` (a completion, or the first
     /// admission into an empty partition) and re-arms its trip detector.
     #[inline]
@@ -968,6 +1005,23 @@ impl MemoryController {
                 c = dead_until;
             }
         }
+    }
+
+    /// Accounts the cycles after the last step up to `to` (inclusive) as
+    /// fast-forwarded. The caller has shown them inert: the last step was
+    /// quiescent, `to` is before [`MemoryController::next_event_cycle`],
+    /// and no submit is admitted in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the controller has never been stepped.
+    pub fn skip_until(&mut self, to: DramCycle) {
+        let last = self.last_step.expect("skip_until before the first step");
+        debug_assert!(
+            to < self.next_event_cycle(last),
+            "skip_until({to}) crosses an event after step({last})"
+        );
+        self.skipped_cycles += to - last;
     }
 
     /// Cycles actually simulated (per-cycle `step` executions).

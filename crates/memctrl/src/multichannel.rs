@@ -146,6 +146,9 @@ impl MultiChannelController {
     /// is the exact math [`MultiChannelController::try_submit`] applies,
     /// exposed so sharded engines can pre-route submission schedules.
     pub fn localize(line_bytes: u64, num_channels: usize, phys: u64) -> (usize, u64) {
+        if num_channels == 1 {
+            return (0, phys);
+        }
         let line = phys / line_bytes;
         let ch = (line % num_channels as u64) as usize;
         let local = (line / num_channels as u64) * line_bytes + phys % line_bytes;
@@ -203,6 +206,33 @@ impl MultiChannelController {
         }
     }
 
+    /// [`MemoryPort::resubmit_refused`](crate::port::MemoryPort::resubmit_refused)
+    /// on the routing channel, through its observer when one is attached
+    /// (see [`MemoryController::resubmit_refused_observed`]).
+    pub fn resubmit_refused(
+        &mut self,
+        thread: ThreadId,
+        kind: RequestKind,
+        phys: u64,
+        now: DramCycle,
+        n: u64,
+    ) {
+        let (ch, local) = Self::localize(self.line_bytes, self.channels.len(), phys);
+        match self.observers.get_mut(ch) {
+            Some(obs) => {
+                self.channels[ch].resubmit_refused_observed(thread, kind, local, now, n, obs)
+            }
+            None => self.channels[ch].resubmit_refused_observed(
+                thread,
+                kind,
+                local,
+                now,
+                n,
+                &mut NullObserver,
+            ),
+        }
+    }
+
     /// Advances every channel by one DRAM cycle (channels are independent
     /// resources and may each issue one command per cycle).
     pub fn step(&mut self, now: DramCycle) -> Vec<Completion> {
@@ -220,17 +250,20 @@ impl MultiChannelController {
     }
 
     /// Allocation-free [`MultiChannelController::step`]: appends every
-    /// channel's completions (in channel order) to `out`.
-    pub fn step_into(&mut self, now: DramCycle, out: &mut Vec<Completion>) {
+    /// channel's completions (in channel order) to `out`, and reports
+    /// whether any channel issued a command.
+    pub fn step_into(&mut self, now: DramCycle, out: &mut Vec<Completion>) -> bool {
+        let mut issued = false;
         if self.observers.is_empty() {
             for ch in &mut self.channels {
-                ch.step_into(now, out, &mut NullObserver);
+                issued |= ch.step_into(now, out, &mut NullObserver);
             }
         } else {
             for (ch, obs) in self.channels.iter_mut().zip(&mut self.observers) {
-                ch.step_into(now, out, obs);
+                issued |= ch.step_into(now, out, obs);
             }
         }
+        issued
     }
 
     /// Earliest strictly-future cycle at which *any* channel has a
@@ -260,6 +293,16 @@ impl MultiChannelController {
             for (ch, obs) in self.channels.iter_mut().zip(&mut self.observers) {
                 ch.tick_until_observed(from, to, out, obs);
             }
+        }
+    }
+
+    /// Accounts cycles `(last, to]` as fast-forwarded on every channel,
+    /// where `last` is the cycle of the last step: the caller has shown
+    /// them inert (no submit is admitted and, `last` being quiescent,
+    /// `to` is before [`MultiChannelController::next_event_cycle`]).
+    pub fn skip_until(&mut self, to: DramCycle) {
+        for ch in &mut self.channels {
+            ch.skip_until(to);
         }
     }
 

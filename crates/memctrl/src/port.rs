@@ -8,6 +8,7 @@ use crate::buffers::Nack;
 use crate::controller::MemoryController;
 use crate::multichannel::MultiChannelController;
 use crate::request::{RequestId, RequestKind, ThreadId};
+use fqms_obs::NullObserver;
 use fqms_sim::clock::DramCycle;
 
 /// A sink for memory requests with per-thread back-pressure.
@@ -107,6 +108,29 @@ pub trait MemoryPort {
         phys: u64,
         now: DramCycle,
     ) -> Result<RequestId, Nack>;
+
+    /// Repeats `n` submits of the same request that the caller knows the
+    /// port refuses with a buffer-full NACK every time: a requester
+    /// retrying while nothing can free a buffer entry. Every effect of
+    /// the `n` refusals is applied, in the order the `n` calls to
+    /// [`MemoryPort::submit`] would apply them.
+    ///
+    /// The provided body makes those calls. Controllers override it to
+    /// account the refusals as one counter update when no observer needs
+    /// the individual events.
+    fn resubmit_refused(
+        &mut self,
+        thread: ThreadId,
+        kind: RequestKind,
+        phys: u64,
+        now: DramCycle,
+        n: u64,
+    ) {
+        for _ in 0..n {
+            let refused = self.submit(thread, kind, phys, now);
+            debug_assert!(refused.is_err(), "resubmit_refused admitted a request");
+        }
+    }
 }
 
 impl MemoryPort for MemoryController {
@@ -119,6 +143,17 @@ impl MemoryPort for MemoryController {
     ) -> Result<RequestId, Nack> {
         self.try_submit(thread, kind, phys, now)
     }
+
+    fn resubmit_refused(
+        &mut self,
+        thread: ThreadId,
+        kind: RequestKind,
+        phys: u64,
+        now: DramCycle,
+        n: u64,
+    ) {
+        self.resubmit_refused_observed(thread, kind, phys, now, n, &mut NullObserver);
+    }
 }
 
 impl MemoryPort for MultiChannelController {
@@ -130,6 +165,17 @@ impl MemoryPort for MultiChannelController {
         now: DramCycle,
     ) -> Result<RequestId, Nack> {
         self.try_submit(thread, kind, phys, now)
+    }
+
+    fn resubmit_refused(
+        &mut self,
+        thread: ThreadId,
+        kind: RequestKind,
+        phys: u64,
+        now: DramCycle,
+        n: u64,
+    ) {
+        MultiChannelController::resubmit_refused(self, thread, kind, phys, now, n);
     }
 }
 
@@ -149,6 +195,85 @@ mod tests {
             DramCycle::new(0),
         )
         .unwrap();
+    }
+
+    /// A port with only the provided `resubmit_refused`.
+    struct Plain<'a>(&'a mut MultiChannelController);
+
+    impl MemoryPort for Plain<'_> {
+        fn submit(
+            &mut self,
+            thread: ThreadId,
+            kind: RequestKind,
+            phys: u64,
+            now: DramCycle,
+        ) -> Result<RequestId, Nack> {
+            self.0.try_submit(thread, kind, phys, now)
+        }
+    }
+
+    fn state(mc: &MultiChannelController) -> Vec<u8> {
+        use fqms_sim::snapshot::{Snapshot, SnapshotWriter};
+        let mut w = SnapshotWriter::new(0);
+        w.section("mc", |s| mc.save(s));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn resubmit_refused_equals_refused_submits() {
+        let t = ThreadId::new(0);
+        for channels in [1, 2] {
+            for observed in [false, true] {
+                let build = || {
+                    let cfg = McConfig::paper(2, SchedulerKind::FqVftf);
+                    let mut mc = MultiChannelController::new(
+                        channels,
+                        cfg,
+                        Geometry::paper(),
+                        TimingParams::ddr2_800(),
+                    )
+                    .unwrap();
+                    if observed {
+                        mc.enable_observation(256);
+                    }
+                    // Fill thread 0's partition on every channel.
+                    for i in 0..64 {
+                        let _ = mc.try_submit(t, RequestKind::Read, i * 64, DramCycle::new(0));
+                    }
+                    mc
+                };
+                let (mut bulk, mut plain) = (build(), build());
+                let before = bulk.thread_stats(t).nacks;
+                for (k, kind) in [RequestKind::Write, RequestKind::Read]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let now = DramCycle::new(1 + k as u64);
+                    MemoryPort::resubmit_refused(&mut bulk, t, kind, 0x4_0040, now, 5);
+                    Plain(&mut plain).resubmit_refused(t, kind, 0x4_0040, now, 5);
+                }
+                assert_eq!(bulk.thread_stats(t), plain.thread_stats(t));
+                assert_eq!(bulk.thread_stats(t).nacks, before + 10);
+                assert_eq!(bulk.merged_metrics(), plain.merged_metrics());
+                assert!(state(&bulk) == state(&plain), "{channels} channels");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "would be admitted")]
+    fn resubmit_refused_rejects_an_admissible_request() {
+        let cfg = McConfig::paper(1, SchedulerKind::FrFcfs);
+        let mut mc =
+            MemoryController::new(cfg, Geometry::paper(), TimingParams::ddr2_800()).unwrap();
+        MemoryPort::resubmit_refused(
+            &mut mc,
+            ThreadId::new(0),
+            RequestKind::Read,
+            0x1000,
+            DramCycle::new(0),
+            3,
+        );
     }
 
     #[test]
