@@ -6,6 +6,20 @@
 //!   utilization;
 //! * four-core: QoS for all threads of all workloads, mean +14% (max
 //!   +41%), normalized target-bandwidth variance 0.2 → 0.0058.
+//!
+//! It is also the paper's regression gate: it exits nonzero when any of
+//! these claims flips —
+//!
+//! * FQ-VFTF gives QoS (normalized IPC ≥ 0.98) on all but at most one
+//!   two-core subject;
+//! * the two-core average gain over FR-FCFS is positive;
+//! * the four-core FQ-VFTF runs have no QoS miss;
+//! * normalized-utilization variance collapses at least 10×;
+//! * the Fig. 8 WL1 ordering inverts: art has the highest normalized IPC
+//!   under FR-FCFS, ammp the highest under FQ-VFTF, where every thread
+//!   reaches at least 1.
+//!
+//! The verdicts go to stderr, so the report on stdout is unchanged.
 
 use fqms::prelude::*;
 use fqms_bench::{paper_schedulers, run_length, seed, two_core_sweep};
@@ -71,7 +85,9 @@ fn main() {
     let mut improvements = Vec::new();
     let mut qos_misses = 0usize;
     let mut var = [Summary::new(), Summary::new()];
-    for mix in workloads.iter() {
+    // WL1's (thread, normalized IPC) pairs under FR-FCFS and FQ-VFTF.
+    let mut wl1: [Vec<(String, f64)>; 2] = Default::default();
+    for (w, mix) in workloads.iter().enumerate() {
         let baselines: Vec<f64> = mix
             .iter()
             .map(|p| {
@@ -92,6 +108,9 @@ fn main() {
             let m = four_core_run(mix, *sched, len, seed);
             hm[si] = m.harmonic_mean_normalized_ipc(&baselines);
             for (t, tm) in m.threads.iter().enumerate() {
+                if w == 0 {
+                    wl1[si].push((tm.name.clone(), tm.ipc / baselines[t]));
+                }
                 if targets[t] > 0.0 {
                     var[si].record(tm.bus_utilization / targets[t]);
                 }
@@ -113,9 +132,55 @@ fn main() {
         100.0 * avg,
         100.0 * max
     );
+    let var = var.map(|v| v.population_variance());
     println!(
         "normalized target-utilization variance: FR-FCFS {:.4}, FQ-VFTF {:.4}",
-        var[0].population_variance(),
-        var[1].population_variance()
+        var[0], var[1]
     );
+
+    let top = |run: &[(String, f64)]| {
+        run.iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(name, _)| name.clone())
+    };
+    let failures: Vec<String> = [
+        (
+            qos_met + 1 >= fq.len(),
+            format!("two-core QoS met on only {qos_met}/{}", fq.len()),
+        ),
+        (
+            avg_imp > 0.0,
+            format!("two-core average gain {avg_imp:+.3} is not positive"),
+        ),
+        (
+            qos_misses == 0,
+            format!("four-core FQ-VFTF missed QoS on {qos_misses} threads"),
+        ),
+        (
+            var[0] >= 10.0 * var[1],
+            format!(
+                "variance {:.4} -> {:.4} collapses less than 10x",
+                var[0], var[1]
+            ),
+        ),
+        (
+            top(&wl1[0]).as_deref() == Some("art")
+                && top(&wl1[1]).as_deref() == Some("ammp")
+                && wl1[1].iter().all(|(_, ipc)| *ipc >= 1.0),
+            format!(
+                "WL1 ordering did not invert: FR-FCFS {:?}, FQ-VFTF {:?}",
+                wl1[0], wl1[1]
+            ),
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(holds, why)| (!holds).then_some(why))
+    .collect();
+    for why in &failures {
+        eprintln!("GATE FAILED: {why}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    eprintln!("# paper gate OK");
 }

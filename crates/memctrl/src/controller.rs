@@ -26,6 +26,7 @@ use crate::bliss::BlissState;
 use crate::buffers::{Nack, ThreadBuffers};
 use crate::cmdlog::{CommandLog, CommandRecord};
 use crate::config::McConfig;
+use crate::modes::{buffer_full, CycleCtx, Modes};
 use crate::overload::OverloadState;
 use crate::policy::{BufferSharing, Priority, RefreshPolicy, RowPolicy, SchedulerKind, VftBinding};
 use crate::regulate::RegulatorState;
@@ -78,6 +79,24 @@ struct Proposal {
     source: Option<(usize, usize)>,
 }
 
+impl Proposal {
+    /// An unowned command (refresh work or an idle close) at the lowest
+    /// priority: it never beats real work at the channel scheduler.
+    fn unowned(cmd: Command) -> Self {
+        Proposal {
+            cmd,
+            prio: Priority {
+                ready: true,
+                tier: 0,
+                cas: false,
+                key: f64::INFINITY,
+                id: RequestId::new(u64::MAX),
+            },
+            source: None,
+        }
+    }
+}
+
 /// Memoized bank-scheduler decision for one bank.
 ///
 /// A bank scheduler's proposal is a pure function of (queue contents,
@@ -109,46 +128,6 @@ impl BankCache {
             proposal: None,
         }
     }
-}
-
-/// Runtime state of an attached fault plan (see
-/// [`MemoryController::set_fault_plan`]). All episode timing is
-/// precompiled in the injector; this struct only caches the consequences
-/// of activation edges so hot-path predicates stay cheap `&self` reads.
-#[derive(Debug, Clone)]
-struct FaultState {
-    injector: FaultInjector,
-    /// Per-global-bank stall deadline: the bank scheduler proposes nothing
-    /// while `now < stall_until[bank]`.
-    stall_until: Vec<u64>,
-    /// Refresh is forced urgent while `now < pressure_until` (cached on
-    /// the activation edge so `refresh_wanted` stays `&self`).
-    pressure_until: u64,
-    /// Scratch for draining due request-drop selectors without
-    /// reallocating.
-    drop_scratch: Vec<u64>,
-}
-
-/// Per-thread starvation watchdog (see `McConfig::starvation_threshold`).
-/// Purely observational: it counts and reports stalls, never alters
-/// scheduling.
-#[derive(Debug, Clone)]
-struct WatchdogState {
-    threshold: u64,
-    /// Last cycle each thread made progress (admission or completion).
-    last_progress: Vec<DramCycle>,
-    /// True once the watchdog fired for the current stall episode; re-arms
-    /// on the thread's next progress.
-    tripped: Vec<bool>,
-    /// Earliest cycle any untripped thread with pending work could reach
-    /// its stall deadline (`u64::MAX` when none is armed). The per-cycle
-    /// check is a single compare against this; the O(threads) deadline
-    /// scan runs only when a deadline actually lands. May run stale-low
-    /// (a thread progressed after the deadline was recorded), which costs
-    /// one extra scan-and-recompute — never a missed trip: deadlines only
-    /// move *later* on progress, and [`MemoryController::note_progress`]
-    /// pulls `next_due` down when a new deadline is armed.
-    next_due: u64,
 }
 
 /// The memory controller.
@@ -236,27 +215,17 @@ pub struct MemoryController {
     /// (epochs, checkpoints) split the run. Invalidated by any step or
     /// submission.
     skip_marker: Option<(u64, u64)>,
-    /// Attached fault plan, compiled ([`MemoryController::set_fault_plan`]).
-    fault: Option<FaultState>,
-    /// Starvation watchdog, when `config.starvation_threshold` is set.
-    watchdog: Option<WatchdogState>,
+    /// The optional modes (fault plan, watchdog, BLISS, regulation,
+    /// overload control) in hook order ([`crate::modes`]).
+    modes: Modes,
+    /// Scratch for the request-drop selectors a mode reports due.
+    drop_scratch: Vec<u64>,
     /// Online per-thread slowdown estimator ([`crate::slowdown`]).
     /// Maintained for *every* scheduler so fairness indices are comparable
     /// across policies; SD-VFTF additionally reads it when binding keys,
     /// which makes it policy state: it snapshots with the controller and
     /// is not cleared by [`MemoryController::reset_stats`].
     slowdown: SlowdownEstimator,
-    /// BLISS blacklist state, present exactly when
-    /// `config.scheduler == SchedulerKind::Bliss`.
-    bliss: Option<BlissState>,
-    /// Real-time token-bucket regulator, present exactly when
-    /// `config.regulation` is set ([`crate::regulate`], ISSUE 9).
-    regulate: Option<RegulatorState>,
-    /// Overload-control layer (admission throttle + tiered shedder),
-    /// present exactly when `config.overload` is set ([`crate::overload`],
-    /// ISSUE 10). Admission-only: it never alters scheduling tiers, so it
-    /// needs no bank-cache interaction.
-    overload: Option<OverloadState>,
 }
 
 impl MemoryController {
@@ -281,27 +250,10 @@ impl MemoryController {
             config.num_threads()
         ];
         let inversion_cycles = config.inversion_bound.resolve(timing.t_ras);
-        let watchdog = config.starvation_threshold.map(|threshold| WatchdogState {
-            threshold,
-            last_progress: vec![DramCycle::ZERO; config.num_threads()],
-            tripped: vec![false; config.num_threads()],
-            next_due: 0,
-        });
         let vftf = config.scheduler.uses_vftf();
-        let slowdown = SlowdownEstimator::new(config.num_threads());
-        let bliss = (config.scheduler == SchedulerKind::Bliss).then(|| {
-            BlissState::new(
-                config.num_threads(),
-                config.bliss_threshold,
-                config.bliss_clear_interval,
-            )
-        });
-        let regulate = config.regulation.as_ref().map(RegulatorState::new);
-        let overload = config
-            .overload
-            .as_ref()
-            .map(|o| OverloadState::new(o, config.regulation.as_ref()));
         Ok(MemoryController {
+            slowdown: SlowdownEstimator::new(config.num_threads()),
+            modes: Modes::new(&config),
             map: AddressMap::new(geometry, config.line_bytes),
             dram: DramDevice::new(geometry, timing),
             queues: vec![BankQueue::new(vftf); total_banks],
@@ -325,12 +277,7 @@ impl MemoryController {
             stepped_cycles: 0,
             skipped_cycles: 0,
             skip_marker: None,
-            fault: None,
-            watchdog,
-            slowdown,
-            bliss,
-            regulate,
-            overload,
+            drop_scratch: Vec::new(),
         })
     }
 
@@ -346,22 +293,13 @@ impl MemoryController {
             self.last_step.is_none(),
             "fault plan must be attached before the first step"
         );
-        self.fault = if plan.is_empty() {
-            None
-        } else {
-            Some(FaultState {
-                injector: FaultInjector::new(plan),
-                stall_until: vec![0; self.queues.len()],
-                pressure_until: 0,
-                drop_scratch: Vec::new(),
-            })
-        };
+        self.modes.attach_fault(plan, self.queues.len());
     }
 
     /// The compiled fault injector, when a non-empty plan is attached
     /// (for inspecting per-class injection counts).
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.fault.as_ref().map(|f| &f.injector)
+        self.modes.fault_injector()
     }
 
     /// Enables command-trace logging, retaining the most recent
@@ -422,19 +360,19 @@ impl MemoryController {
 
     /// The BLISS blacklist state, when the BLISS scheduler is configured.
     pub fn bliss_state(&self) -> Option<&BlissState> {
-        self.bliss.as_ref()
+        self.modes.bliss()
     }
 
     /// The real-time regulator state, when `McConfig::regulation` is set
     /// (see [`crate::regulate`]).
     pub fn regulator_state(&self) -> Option<&RegulatorState> {
-        self.regulate.as_ref()
+        self.modes.regulator()
     }
 
     /// The overload-control state, when `McConfig::overload` is set
     /// (see [`crate::overload`]).
     pub fn overload_state(&self) -> Option<&OverloadState> {
-        self.overload.as_ref()
+        self.modes.overload()
     }
 
     /// Number of requests currently buffered (not yet fully serviced).
@@ -526,151 +464,31 @@ impl MemoryController {
         // Any admission attempt mutates state (stats, fault cursors), so a
         // clamped-skip marker from a previous window no longer applies.
         self.skip_marker = None;
-        // NACK-storm fault: the admission port behaves exactly as if the
-        // relevant buffer were full for the episode's duration.
-        if let Some(f) = self.fault.as_mut() {
-            if f.injector
-                .active(FaultKind::NackStorm, now.as_u64())
-                .is_some()
-            {
-                let nack = match kind {
-                    RequestKind::Write => Nack::WriteBufferFull,
-                    RequestKind::Read => Nack::TransactionBufferFull,
-                };
-                self.stats.thread_mut(thread).nacks += 1;
-                if let Some(ov) = self.overload.as_mut() {
-                    // A NACK storm presents as buffer pressure, so it
-                    // feeds the saturation detector like one.
-                    ov.note_buffer_nack();
-                }
-                if O::ENABLED {
-                    obs.on_event(&Event::Nack {
-                        cycle: now.as_u64(),
-                        thread: thread.as_u32(),
-                        is_write: nack == Nack::WriteBufferFull,
-                    });
-                }
-                return Err(nack);
-            }
-        }
-        // Overload control gates admission *before* the buffer checks: a
-        // shed or throttled request must not consume detector signal (the
-        // detector counts only genuine buffer-full NACKs — anti-windup),
-        // and its refusal must be typed so the requester can distinguish
-        // "retry later" from "never retry".
-        if let Some(nack) = self
-            .overload
-            .as_ref()
-            .and_then(|ov| ov.shed_check(thread.as_u32(), kind == RequestKind::Write))
-        {
-            self.overload.as_mut().expect("checked above").note_shed();
-            self.stats.thread_mut(thread).requests_shed += 1;
-            if O::ENABLED {
-                let class = match nack {
-                    Nack::Shed { class } => class.as_u8(),
-                    _ => unreachable!("shed_check returns only Shed"),
-                };
-                obs.on_event(&Event::Shed {
-                    cycle: now.as_u64(),
-                    thread: thread.as_u32(),
-                    is_write: kind == RequestKind::Write,
-                    class,
-                });
-            }
-            return Err(nack);
-        }
-        if let Some(nack) = self
-            .overload
-            .as_ref()
-            .and_then(|ov| ov.throttle_check(thread.as_u32(), now.as_u64()))
-        {
-            self.overload
-                .as_mut()
-                .expect("checked above")
-                .note_throttled();
-            let ts = self.stats.thread_mut(thread);
-            ts.nacks += 1;
-            ts.throttle_nacks += 1;
-            if O::ENABLED {
-                let retry_after = match nack {
-                    Nack::Throttled { retry_after } => retry_after,
-                    _ => unreachable!("throttle_check returns only Throttled"),
-                };
-                obs.on_event(&Event::Throttled {
-                    cycle: now.as_u64(),
-                    thread: thread.as_u32(),
-                    retry_after,
-                });
-            }
-            return Err(nack);
-        }
-        if self.config.buffer_sharing == BufferSharing::Shared && !self.shared_pool_has_room(kind) {
-            self.stats.thread_mut(thread).nacks += 1;
-            if let Some(ov) = self.overload.as_mut() {
-                ov.note_buffer_nack();
-            }
-            let nack = match kind {
-                RequestKind::Write => Nack::WriteBufferFull,
-                RequestKind::Read => Nack::TransactionBufferFull,
-            };
-            if O::ENABLED {
-                obs.on_event(&Event::Nack {
-                    cycle: now.as_u64(),
-                    thread: thread.as_u32(),
-                    is_write: nack == Nack::WriteBufferFull,
-                });
-            }
-            return Err(nack);
+        // The modes gate admission *before* the buffer checks: a shed or
+        // throttled request must not count as buffer pressure, and its
+        // refusal is typed so the requester can tell "retry later" from
+        // "never retry".
+        if let Some(nack) = self.modes.admit(thread, kind, now.as_u64()) {
+            return Err(self.refuse(thread, kind, nack, now, obs));
         }
         // Per-thread accounting always happens (it tracks who holds what);
         // in shared mode the per-thread cap is lifted to the pool size.
         let admit = match self.config.buffer_sharing {
             BufferSharing::Partitioned => self.buffers[tid].try_admit(kind),
-            BufferSharing::Shared => {
+            BufferSharing::Shared if self.shared_pool_has_room(kind) => {
                 self.buffers[tid].force_admit(kind);
                 Ok(())
             }
+            BufferSharing::Shared => Err(buffer_full(kind)),
         };
         if let Err(nack) = admit {
-            self.stats.thread_mut(thread).nacks += 1;
-            if let Some(ov) = self.overload.as_mut() {
-                ov.note_buffer_nack();
-            }
-            if O::ENABLED {
-                obs.on_event(&Event::Nack {
-                    cycle: now.as_u64(),
-                    thread: thread.as_u32(),
-                    is_write: nack == Nack::WriteBufferFull,
-                });
-            }
-            return Err(nack);
+            return Err(self.refuse(thread, kind, nack, now, obs));
         }
         self.tx_used += 1;
         if kind == RequestKind::Write {
             self.wr_used += 1;
         }
-        // Past every gate: a hog-classified thread pays one admission
-        // token (everyone else passes freely).
-        if let Some(ov) = self.overload.as_mut() {
-            ov.consume(thread.as_u32());
-        }
-        let mut addr = self.map.decode(phys);
-        // Real-time bank partitioning (ISSUE 9): fold the decoded global
-        // bank into the submitting thread's private contiguous slice, so
-        // no foreign thread can ever conflict on this thread's rows. Row
-        // and column are untouched — within its slice the thread keeps the
-        // XOR mapping's conflict behaviour.
-        if let Some(reg) = &self.config.regulation {
-            if reg.partition {
-                let g = *self.dram.geometry();
-                let (start, len) =
-                    g.partition_slice(thread.as_u32(), self.config.num_threads() as u32);
-                let global = self.global_bank(addr.rank, addr.bank) as u32;
-                let folded = start + (global % len);
-                addr.rank = RankId::new(folded / g.banks);
-                addr.bank = BankId::new(folded % g.banks);
-            }
-        }
+        let addr = self.decode(thread, phys);
         let id = RequestId::new(self.next_id);
         self.next_id += self.id_stride;
         let req = MemoryRequest {
@@ -724,7 +542,7 @@ impl MemoryController {
         } else {
             None
         };
-        let tier = SchedCtx::tiers(self.bliss.as_ref(), self.regulate.as_ref()).tier(thread);
+        let tier = self.modes.tier(thread);
         self.queues[bank_idx].push(
             Pending {
                 req,
@@ -741,23 +559,84 @@ impl MemoryController {
             RequestKind::Read => ts.reads_accepted += 1,
             RequestKind::Write => ts.writes_accepted += 1,
         }
-        // Admission into an *empty* partition restarts the thread's
-        // progress clock — its pending-work epoch begins now (and, under
-        // fast-forward, `now` may follow a skipped idle window the
-        // per-cycle watchdog reset never saw). Admissions on top of an
-        // existing backlog are deliberately *not* progress: a thread whose
-        // pending requests never complete is starving no matter how many
-        // more it manages to enqueue.
-        if self.buffers[tid].transactions_used() == 1 {
-            self.note_progress(thread, now);
-        }
+        // Admission into an *empty* partition starts the thread's
+        // pending-work epoch (under fast-forward, `now` may follow a
+        // skipped idle window).
+        let first = self.buffers[tid].transactions_used() == 1;
+        self.modes.on_admitted(thread, first, now);
         Ok(id)
+    }
+
+    /// Accounts one refused submission, keyed on the refusal: buffer-full
+    /// and throttle refusals count as NACKs, sheds as drops; the modes
+    /// see every refusal. Returns `nack` for the caller to hand back.
+    fn refuse<O: Observer>(
+        &mut self,
+        thread: ThreadId,
+        kind: RequestKind,
+        nack: Nack,
+        now: DramCycle,
+        obs: &mut O,
+    ) -> Nack {
+        let (cycle, t) = (now.as_u64(), thread.as_u32());
+        let ts = self.stats.thread_mut(thread);
+        let event = match nack {
+            Nack::Shed { class } => {
+                ts.requests_shed += 1;
+                Event::Shed {
+                    cycle,
+                    thread: t,
+                    is_write: kind == RequestKind::Write,
+                    class: class.as_u8(),
+                }
+            }
+            Nack::Throttled { retry_after } => {
+                ts.nacks += 1;
+                ts.throttle_nacks += 1;
+                Event::Throttled {
+                    cycle,
+                    thread: t,
+                    retry_after,
+                }
+            }
+            Nack::TransactionBufferFull | Nack::WriteBufferFull => {
+                ts.nacks += 1;
+                Event::Nack {
+                    cycle,
+                    thread: t,
+                    is_write: nack == Nack::WriteBufferFull,
+                }
+            }
+        };
+        self.modes.on_refused(nack);
+        if O::ENABLED {
+            obs.on_event(&event);
+        }
+        nack
+    }
+
+    /// Decodes `phys` to the DRAM address a request from `thread` uses.
+    /// Under real-time bank partitioning the decoded global bank folds
+    /// into the thread's private contiguous slice, so no foreign thread
+    /// can conflict on its rows; row and column keep the XOR mapping's
+    /// conflict behaviour within the slice.
+    fn decode(&self, thread: ThreadId, phys: u64) -> DramAddress {
+        let mut addr = self.map.decode(phys);
+        if self.config.regulation.as_ref().is_some_and(|r| r.partition) {
+            let g = *self.dram.geometry();
+            let (start, len) = g.partition_slice(thread.as_u32(), self.config.num_threads() as u32);
+            let global = self.global_bank(addr.rank, addr.bank) as u32;
+            let folded = start + (global % len);
+            addr.rank = RankId::new(folded / g.banks);
+            addr.bank = BankId::new(folded % g.banks);
+        }
+        addr
     }
 
     /// [`MemoryPort::resubmit_refused`](crate::port::MemoryPort::resubmit_refused)
     /// with an [`Observer`] attached: `n` refused submits of one request.
-    /// With no observer, fault plan or overload layer attached, a refusal
-    /// is the buffer check alone and changes nothing but the thread's NACK
+    /// With no observer and no mode watching admission, a refusal is the
+    /// buffer check alone and changes nothing but the thread's NACK
     /// count, so the `n` refusals are one addition; otherwise each is a
     /// real [`MemoryController::try_submit_observed`], with its events.
     ///
@@ -773,7 +652,7 @@ impl MemoryController {
         n: u64,
         obs: &mut O,
     ) {
-        if O::ENABLED || self.fault.is_some() || self.overload.is_some() {
+        if O::ENABLED || self.modes.watch_admission() {
             for _ in 0..n {
                 let refused = self.try_submit_observed(thread, kind, phys, now, obs);
                 assert!(
@@ -788,21 +667,6 @@ impl MemoryController {
             );
             self.skip_marker = None;
             self.stats.thread_mut(thread).nacks += n;
-        }
-    }
-
-    /// Records watchdog progress for `thread` (a completion, or the first
-    /// admission into an empty partition) and re-arms its trip detector.
-    #[inline]
-    fn note_progress(&mut self, thread: ThreadId, now: DramCycle) {
-        if let Some(w) = self.watchdog.as_mut() {
-            let t = thread.as_usize();
-            w.last_progress[t] = now;
-            w.tripped[t] = false;
-            // This progress arms a fresh deadline; pull the incremental
-            // scan trigger down so the deadline cycle is actually checked
-            // (essential when `next_due` had drained to `u64::MAX`).
-            w.next_due = w.next_due.min(now.as_u64().saturating_add(w.threshold));
         }
     }
 
@@ -891,51 +755,9 @@ impl MemoryController {
                 ev.consider(deadline.saturating_add((k - 1) * t_refi));
             }
         }
-        if let Some(f) = &self.fault {
-            // Never skip over a fault-episode edge: every start/end is a
-            // cycle where scheduling predicates change.
-            if let Some(boundary) = f.injector.next_boundary(now.as_u64()) {
-                ev.consider(DramCycle::new(boundary));
-            }
-            // During refresh pressure the refresh machinery re-evaluates
-            // every cycle (its readiness is not in the filtered DRAM
-            // next-event set when no deadline is due), so step
-            // cycle-by-cycle for the episode's duration.
-            if now.as_u64() < f.pressure_until {
-                ev.consider(DramCycle::new(now.as_u64() + 1));
-            }
-        }
-        if let Some(w) = &self.watchdog {
-            // A watchdog trip is an observable event: make sure the
-            // deadline cycle is stepped, not skipped. `next_due` is a
-            // conservative (never-late) bound over every armed deadline,
-            // so one compare replaces the per-thread scan.
-            if w.next_due != u64::MAX {
-                ev.consider(DramCycle::new(w.next_due));
-            }
-        }
-        if let Some(b) = &self.bliss {
-            // A clearing boundary changes scheduling state (blacklist
-            // wipe): the boundary cycle must be stepped, never skipped,
-            // so fast-forwarded runs clear at exactly the same cycles as
-            // per-cycle runs.
-            ev.consider(DramCycle::new(b.next_clear()));
-        }
-        if let Some(rg) = &self.regulate {
-            // A replenish boundary can promote a demoted thread back to
-            // the premium tier: the boundary cycle must be stepped, never
-            // skipped, or a fast-forwarded run would restore the tier late.
-            ev.consider(DramCycle::new(rg.next_replenish()));
-        }
-        if let Some(ov) = &self.overload {
-            // Both overload boundaries must be stepped, never skipped: hog
-            // reclassification reads the slowdown estimator *at* the
-            // replenish boundary (a completion between a skipped boundary
-            // and the next submit would change the hog set), and a window
-            // evaluation reads the occupancy *at* the window boundary.
-            ev.consider(DramCycle::new(ov.next_replenish()));
-            ev.consider(DramCycle::new(ov.next_window()));
-        }
+        // Every mode boundary is stepped, never skipped, so fast-forwarded
+        // runs cross boundaries at exactly the cycles per-cycle runs do.
+        self.modes.next_boundary(now, &mut ev);
         ev.earliest()
     }
 
@@ -972,15 +794,8 @@ impl MemoryController {
         // cycle is not re-stepped and the stepped/skipped partition is
         // identical to a run whose window never ended at `from`.
         if let Some((edge, next)) = self.skip_marker {
-            if edge == c.as_u64() && next > c.as_u64() + 1 {
-                let dead_until = DramCycle::new((next - 1).min(to.as_u64()));
-                self.skipped_cycles += dead_until - c;
-                self.skip_marker = if dead_until.as_u64() < next - 1 {
-                    Some((dead_until.as_u64(), next))
-                } else {
-                    None
-                };
-                c = dead_until;
+            if edge == c.as_u64() {
+                c = self.skip_before(c, next, to);
             }
         }
         while c < to {
@@ -991,20 +806,22 @@ impl MemoryController {
                 continue; // activity: the very next cycle must be stepped
             }
             let next = self.next_event_cycle(c).as_u64();
-            if next > c.as_u64() + 1 {
-                // Cycles (c, next) are provably inert; jump to just before
-                // the event (clamped to the window end). A clamped jump
-                // leaves a marker so the next window can finish the skip.
-                let dead_until = DramCycle::new((next - 1).min(to.as_u64()));
-                self.skipped_cycles += dead_until - c;
-                self.skip_marker = if dead_until.as_u64() < next - 1 {
-                    Some((dead_until.as_u64(), next))
-                } else {
-                    None
-                };
-                c = dead_until;
-            }
+            c = self.skip_before(c, next, to);
         }
+    }
+
+    /// From quiescent cycle `c`, cycles `(c, next)` are provably inert:
+    /// accounts them as skipped up to just before the event `next`,
+    /// clamped to the window end `to`, and returns the new current cycle.
+    /// A clamped jump leaves a marker so the next window can finish it.
+    fn skip_before(&mut self, c: DramCycle, next: u64, to: DramCycle) -> DramCycle {
+        if next <= c.as_u64() + 1 {
+            return c;
+        }
+        let dead_until = DramCycle::new((next - 1).min(to.as_u64()));
+        self.skipped_cycles += dead_until - c;
+        self.skip_marker = (dead_until.as_u64() < next - 1).then_some((dead_until.as_u64(), next));
+        dead_until
     }
 
     /// Accounts the cycles after the last step up to `to` (inclusive) as
@@ -1049,52 +866,27 @@ impl MemoryController {
         self.skip_marker = None;
 
         self.drain_read_completions(now, out, obs);
-        if self.fault.is_some() {
-            self.apply_faults(now, obs);
-        }
-        if self.watchdog.is_some() {
-            self.check_watchdog(now, obs);
-        }
-        // BLISS clearing interval: wipe blacklist flags at every elapsed
-        // boundary *before* scheduling, so the boundary cycle already
-        // schedules with a clean slate.
-        if self
-            .bliss
-            .as_mut()
-            .is_some_and(|b| b.maybe_clear(now.as_u64()))
-        {
-            self.tiers_changed();
-        }
-        // Regulator replenish boundary: refill every token bucket before
-        // scheduling, so the boundary cycle already schedules with the
-        // restored tiers (a refill can promote a demoted thread).
-        if self
-            .regulate
-            .as_mut()
-            .is_some_and(|rg| rg.maybe_replenish(now.as_u64()))
-        {
-            self.tiers_changed();
-        }
-        // Overload boundaries: refill admission tokens / reclassify hogs,
-        // and walk the saturation ladder — before scheduling, so the
-        // boundary cycle already admits under the new state. Admission-only
-        // state: no memoized proposal depends on it, so no cache drop.
-        if let Some(ov) = self.overload.as_mut() {
-            ov.maybe_replenish(now.as_u64(), &self.slowdown);
-            if let Some((from, to)) = ov.maybe_evaluate(now.as_u64(), self.tx_used) {
-                if O::ENABLED {
-                    if to > from {
-                        obs.on_event(&Event::SaturationEntered {
-                            cycle: now.as_u64(),
-                            level: to.as_u8(),
-                        });
-                    } else {
-                        obs.on_event(&Event::SaturationExited {
-                            cycle: now.as_u64(),
-                            level: to.as_u8(),
-                        });
-                    }
-                }
+        // Mode boundary work, in hook order, before scheduling: each
+        // mode's due request drops execute before the next mode looks at
+        // buffer occupancy.
+        for i in 0..self.modes.len() {
+            let mut ctx = CycleCtx {
+                stats: &mut self.stats,
+                buffers: &self.buffers,
+                slowdown: &self.slowdown,
+                tx_used: self.tx_used,
+                drops: &mut self.drop_scratch,
+            };
+            let fx = self.modes.get_mut(i).on_cycle(now, &mut ctx, obs);
+            if let Some(bank) = fx.dirty_bank {
+                self.bank_cache[bank].valid = false;
+            }
+            for k in 0..self.drop_scratch.len() {
+                self.drop_request(self.drop_scratch[k], now, obs);
+            }
+            self.drop_scratch.clear();
+            if fx.tiers_changed {
+                self.tiers_changed();
             }
         }
 
@@ -1103,17 +895,7 @@ impl MemoryController {
             .find(|&r| self.refresh_wanted(r, now));
 
         let scheduled = match urgent_rank {
-            Some(rank) => self.schedule_refresh(rank, now).map(|cmd| Proposal {
-                cmd,
-                prio: Priority {
-                    ready: true,
-                    tier: 0,
-                    cas: false,
-                    key: f64::INFINITY,
-                    id: RequestId::new(u64::MAX),
-                },
-                source: None,
-            }),
+            Some(rank) => self.schedule_refresh(rank, now).map(Proposal::unowned),
             None => self.schedule_normal(now, obs),
         };
 
@@ -1126,170 +908,129 @@ impl MemoryController {
         }
     }
 
-    /// A BLISS or regulator transition changed some thread's priority
-    /// tier: move the affected keyed entries to their new tier in every
-    /// bank index, and drop every memoized proposal (each was ranked
-    /// under the old tiers).
+    /// A mode moved some thread's priority tier: move the affected keyed
+    /// entries to their new tier in every bank index, and drop every
+    /// memoized proposal (each was ranked under the old tiers).
     fn tiers_changed(&mut self) {
-        let ctx = SchedCtx::tiers(self.bliss.as_ref(), self.regulate.as_ref());
+        let modes = &self.modes;
         for (q, cache) in self.queues.iter_mut().zip(&mut self.bank_cache) {
-            q.retier(|t| ctx.tier(t));
+            q.retier(|t| modes.tier(t));
             cache.valid = false;
         }
     }
 
-    /// Consumes this cycle's fault-timeline edges: reports activation
-    /// edges, caches their consequences (bank stall deadlines, refresh
-    /// pressure), and executes due request drops. Runs once per stepped
-    /// cycle, between completion drain and scheduling; with no plan
-    /// attached it is never called.
-    fn apply_faults<O: Observer>(&mut self, now: DramCycle, obs: &mut O) {
+    /// Executes one due request-drop fault: the `selector`'th queued
+    /// request, flattening the bank queues in bank-index order (admission
+    /// order within each), vanishes and releases its buffer entry exactly
+    /// as completion would. The requester is never told.
+    fn drop_request<O: Observer>(&mut self, selector: u64, now: DramCycle, obs: &mut O) {
         let n = now.as_u64();
-        let f = self.fault.as_mut().expect("checked by caller");
-        if let Some(e) = f.injector.activated(FaultKind::NackStorm, n) {
-            if O::ENABLED {
-                obs.on_event(&Event::FaultInjected {
-                    cycle: n,
-                    kind: FaultKind::NackStorm,
-                    until: e.end,
-                    bank: None,
-                });
-            }
+        if O::ENABLED {
+            obs.on_event(&Event::FaultInjected {
+                cycle: n,
+                kind: FaultKind::RequestDrop,
+                until: n + 1,
+                bank: None,
+            });
         }
-        if let Some(e) = f.injector.activated(FaultKind::RefreshPressure, n) {
-            f.pressure_until = f.pressure_until.max(e.end);
-            if O::ENABLED {
-                obs.on_event(&Event::FaultInjected {
-                    cycle: n,
-                    kind: FaultKind::RefreshPressure,
-                    until: e.end,
-                    bank: None,
-                });
-            }
+        if self.queued == 0 {
+            return; // nothing queued: the drop lands on air
         }
-        if let Some(e) = f.injector.activated(FaultKind::BankStall, n) {
-            let bank = (e.selector % f.stall_until.len() as u64) as usize;
-            f.stall_until[bank] = f.stall_until[bank].max(e.end);
-            self.bank_cache[bank].valid = false;
-            if O::ENABLED {
-                obs.on_event(&Event::FaultInjected {
-                    cycle: n,
-                    kind: FaultKind::BankStall,
-                    until: e.end,
-                    bank: Some(bank as u32),
-                });
-            }
-        }
-        let mut drops = std::mem::take(&mut f.drop_scratch);
-        f.injector.take_due(FaultKind::RequestDrop, n, &mut drops);
-        for &selector in &drops {
-            if O::ENABLED {
-                obs.on_event(&Event::FaultInjected {
-                    cycle: n,
-                    kind: FaultKind::RequestDrop,
-                    until: n + 1,
-                    bank: None,
-                });
-            }
-            if self.queued == 0 {
-                continue; // nothing queued: the drop lands on air
-            }
-            // Deterministic victim: flatten the bank queues in bank-index
-            // order (admission order within each) and pick the selector'th
-            // entry.
-            let mut target = (selector % self.queued as u64) as usize;
-            let (bank_idx, pos) = self
-                .queues
-                .iter()
-                .enumerate()
-                .find_map(|(bi, q)| {
-                    if target < q.len() {
-                        Some((bi, target))
-                    } else {
-                        target -= q.len();
-                        None
-                    }
-                })
-                .expect("queued tracks the summed queue lengths");
-            let slot = self.queues[bank_idx]
-                .nth_slot(pos)
-                .expect("position bounded by live length");
-            let pending = self.queues[bank_idx].remove(slot);
-            self.queued -= 1;
-            if self.queues[bank_idx].is_empty() {
-                self.occupied.remove(bank_idx);
-            }
-            self.bank_cache[bank_idx].valid = false;
-            let req = pending.req;
-            // Release the buffer entry exactly as completion would — the
-            // requester is never told; the request simply vanishes.
-            let buf = &mut self.buffers[req.thread.as_usize()];
-            match req.kind {
-                RequestKind::Read => {
-                    buf.complete(RequestKind::Read);
-                    self.tx_used -= 1;
+        let mut target = (selector % self.queued as u64) as usize;
+        let (bank_idx, pos) = self
+            .queues
+            .iter()
+            .enumerate()
+            .find_map(|(bi, q)| {
+                if target < q.len() {
+                    Some((bi, target))
+                } else {
+                    target -= q.len();
+                    None
                 }
-                RequestKind::Write => {
-                    buf.release_write_data();
-                    buf.complete(RequestKind::Write);
-                    self.wr_used -= 1;
-                    self.tx_used -= 1;
-                }
-            }
-            self.stats.thread_mut(req.thread).requests_dropped += 1;
-            if O::ENABLED {
-                obs.on_event(&Event::RequestDropped {
-                    cycle: n,
-                    thread: req.thread.as_u32(),
-                    id: req.id.as_u64(),
-                    is_write: req.kind == RequestKind::Write,
-                });
-            }
+            })
+            .expect("queued tracks the summed queue lengths");
+        let slot = self.queues[bank_idx]
+            .nth_slot(pos)
+            .expect("position bounded by live length");
+        let req = self.dequeue(bank_idx, slot).req;
+        self.release(req.thread, req.kind);
+        self.stats.thread_mut(req.thread).requests_dropped += 1;
+        if O::ENABLED {
+            obs.on_event(&Event::RequestDropped {
+                cycle: n,
+                thread: req.thread.as_u32(),
+                id: req.id.as_u64(),
+                is_write: req.kind == RequestKind::Write,
+            });
         }
-        drops.clear();
-        self.fault.as_mut().expect("still attached").drop_scratch = drops;
     }
 
-    /// Fires the starvation watchdog for threads that hold pending work
-    /// but have made no progress for the configured threshold. Purely
-    /// observational: one stat increment and one event per stall episode.
-    ///
-    /// Incremental: the common case is one compare against the cached
-    /// earliest deadline (`next_due`); the O(threads) scan runs only on
-    /// cycles where a deadline can actually land. Idle threads are simply
-    /// skipped — their stale progress clocks are rewritten by
-    /// [`MemoryController::note_progress`] on the admission that makes
-    /// them active again, so no per-cycle pinning is needed.
-    fn check_watchdog<O: Observer>(&mut self, now: DramCycle, obs: &mut O) {
-        let w = self.watchdog.as_mut().expect("checked by caller");
-        if now.as_u64() < w.next_due {
-            return;
+    /// Removes the entry in `slot` of bank `bank_idx`'s queue.
+    fn dequeue(&mut self, bank_idx: usize, slot: u32) -> Pending {
+        let pending = self.queues[bank_idx].remove(slot);
+        self.queued -= 1;
+        if self.queues[bank_idx].is_empty() {
+            self.occupied.remove(bank_idx);
         }
-        let mut next = u64::MAX;
-        for t in 0..w.last_progress.len() {
-            if self.buffers[t].transactions_used() == 0 {
-                // Nothing pending: an idle thread is not starved.
-                continue;
-            }
-            if w.tripped[t] {
-                continue;
-            }
-            let due = w.last_progress[t].as_u64().saturating_add(w.threshold);
-            if now.as_u64() >= due {
-                w.tripped[t] = true;
-                self.stats.thread_mut(ThreadId::new(t as u32)).starvations += 1;
-                if O::ENABLED {
-                    obs.on_event(&Event::StarvationDetected {
-                        cycle: now.as_u64(),
-                        thread: t as u32,
-                        stalled_for: now.as_u64() - w.last_progress[t].as_u64(),
-                    });
-                }
-            } else {
-                next = next.min(due);
-            }
+        self.bank_cache[bank_idx].valid = false;
+        pending
+    }
+
+    /// Frees the buffer entries a finished (or dropped) request held.
+    fn release(&mut self, thread: ThreadId, kind: RequestKind) {
+        let buf = &mut self.buffers[thread.as_usize()];
+        if kind == RequestKind::Write {
+            buf.release_write_data();
+            self.wr_used -= 1;
         }
-        w.next_due = next;
+        buf.complete(kind);
+        self.tx_used -= 1;
+    }
+
+    /// Completes a request from the requester's view — a read's last data
+    /// beat arrived, or a write was issued: frees its buffer entries,
+    /// feeds the slowdown estimator and the statistics, reports it, and
+    /// runs the modes' completion hooks.
+    fn complete<O: Observer>(
+        &mut self,
+        c: Completion,
+        now: DramCycle,
+        out: &mut Vec<Completion>,
+        obs: &mut O,
+    ) {
+        self.release(c.thread, c.kind);
+        // Alone-time model (DESIGN.md §16): the request's intrinsic
+        // closed-bank service cost plus its data burst — what it would
+        // have cost on an unloaded bank.
+        let alone = {
+            let t = self.dram.timing();
+            t.service_closed() + t.burst
+        };
+        self.slowdown.record(c.thread.as_u32(), alone, c.latency());
+        let ts = self.stats.thread_mut(c.thread);
+        match c.kind {
+            RequestKind::Read => {
+                ts.reads_completed += 1;
+                ts.read_latency_total += c.latency();
+            }
+            RequestKind::Write => ts.writes_completed += 1,
+        }
+        ts.alone_cycles_est += alone;
+        ts.shared_cycles += c.latency();
+        if O::ENABLED {
+            obs.on_event(&Event::Completed {
+                cycle: now.as_u64(),
+                thread: c.thread.as_u32(),
+                id: c.id.as_u64(),
+                is_write: c.kind == RequestKind::Write,
+                latency: c.latency(),
+                bytes: self.config.line_bytes,
+                alone_cycles: alone,
+            });
+        }
+        self.modes.on_complete(&c, now, obs);
+        out.push(c);
     }
 
     /// Finalizes utilization statistics at the end of a run.
@@ -1320,66 +1061,17 @@ impl MemoryController {
                 continue;
             }
             let c = self.inflight_reads.swap_remove(i);
-            self.buffers[c.thread.as_usize()].complete(RequestKind::Read);
-            self.tx_used -= 1;
-            self.note_progress(c.thread, now);
-            // Alone-time model (DESIGN.md §16): the request's intrinsic
-            // closed-bank service cost plus its data burst — what it
-            // would have cost on an unloaded bank.
-            let alone = {
-                let t = self.dram.timing();
-                t.service_closed() + t.burst
-            };
-            self.slowdown.record(c.thread.as_u32(), alone, c.latency());
-            let ts = self.stats.thread_mut(c.thread);
-            ts.reads_completed += 1;
-            ts.read_latency_total += c.latency();
-            ts.alone_cycles_est += alone;
-            ts.shared_cycles += c.latency();
-            if O::ENABLED {
-                obs.on_event(&Event::Completed {
-                    cycle: now.as_u64(),
-                    thread: c.thread.as_u32(),
-                    id: c.id.as_u64(),
-                    is_write: false,
-                    latency: c.latency(),
-                    bytes: self.config.line_bytes,
-                    alone_cycles: alone,
-                });
-            }
-            // WCET verification hook (ISSUE 9): a regulated completion
-            // above its class's configured bound is counted and reported.
-            // The release gates assert this never happens.
-            if let Some(rg) = self.regulate.as_mut() {
-                if let Some(bound) = rg.wcet_bound(c.thread.as_u32()) {
-                    if c.latency() > bound {
-                        rg.note_violation();
-                        if O::ENABLED {
-                            obs.on_event(&Event::BoundExceeded {
-                                cycle: now.as_u64(),
-                                thread: c.thread.as_u32(),
-                                id: c.id.as_u64(),
-                                is_write: false,
-                                latency: c.latency(),
-                                bound,
-                            });
-                        }
-                    }
-                }
-            }
-            out.push(c);
+            self.complete(c, now, out, obs);
         }
     }
 
     /// Decides whether to enter refresh mode for `rank` this cycle, per
     /// the configured [`RefreshPolicy`].
     fn refresh_wanted(&self, rank: RankId, now: DramCycle) -> bool {
-        // Refresh-pressure fault: force refresh urgency (a refresh storm)
-        // for the episode's duration, regardless of the real deadline.
-        if let Some(f) = &self.fault {
-            if now.as_u64() < f.pressure_until {
-                return true;
-            }
+        // A mode may force refresh urgency (a refresh-pressure fault
+        // storm), regardless of the real deadline.
+        if self.modes.refresh_forced(now) {
+            return true;
         }
         if !self.dram.refresh_urgent(rank, now) {
             return false;
@@ -1430,9 +1122,10 @@ impl MemoryController {
         let kind = self.config.scheduler;
         let inversion = self.inversion_cycles;
         let ctx = SchedCtx {
+            modes: &self.modes,
             est: (kind == SchedulerKind::SdVftf).then_some(&self.slowdown),
-            ..SchedCtx::tiers(self.bliss.as_ref(), self.regulate.as_ref())
         };
+        let stalls = self.modes.stall_deadlines();
 
         // Masked sweep: a bank outside `occupied ∪ open` has an empty
         // queue and a closed row, so the dense loop's body would compute
@@ -1447,13 +1140,11 @@ impl MemoryController {
 
         let mut best: Option<Proposal> = None;
         for &bank_idx in &scratch {
-            // Bank-stall fault: a stalled bank proposes nothing. Safe to
-            // skip before the cache probe — no command issues to the bank
-            // while stalled, so its cached decision stays coherent.
-            if let Some(f) = &self.fault {
-                if now.as_u64() < f.stall_until[bank_idx] {
-                    continue;
-                }
+            // A stalled bank proposes nothing. Safe to skip before the
+            // cache probe — no command issues to the bank while stalled,
+            // so its cached decision stays coherent.
+            if stalls.is_some_and(|s| now.as_u64() < s[bank_idx]) {
+                continue;
             }
             let rank = RankId::new(bank_idx as u32 / geometry.banks);
             let bank = BankId::new(bank_idx as u32 % geometry.banks);
@@ -1468,17 +1159,9 @@ impl MemoryController {
                 // bank-ready probe.
                 if self.config.row_policy == RowPolicy::Closed && open_row.is_some() {
                     let pre = Command::Precharge { rank, bank };
-                    self.dram.bank_ready(&pre, now).then_some(Proposal {
-                        cmd: pre,
-                        prio: Priority {
-                            ready: true,
-                            tier: 0,
-                            cas: false,
-                            key: f64::INFINITY,
-                            id: RequestId::new(u64::MAX),
-                        },
-                        source: None,
-                    })
+                    self.dram
+                        .bank_ready(&pre, now)
+                        .then(|| Proposal::unowned(pre))
                 } else {
                     None
                 }
@@ -1614,23 +1297,10 @@ impl MemoryController {
             self.queues[bank_idx].note_ras(slot);
             return;
         }
-        // CAS issued: the request leaves the bank queue.
-        self.queues[bank_idx].remove(slot);
-        self.queued -= 1;
-        if self.queues[bank_idx].is_empty() {
-            self.occupied.remove(bank_idx);
-        }
-        // BLISS counts one bank service per CAS; a threshold crossing
-        // blacklists the thread. The regulator also counts one bank
-        // service per CAS; exhausting a bucket demotes the thread to the
-        // best-effort tier.
-        let thread = req.thread.as_u32();
-        let blacklisted = self
-            .bliss
-            .as_mut()
-            .is_some_and(|b| b.record_service(thread));
-        let demoted = self.regulate.as_mut().is_some_and(|rg| rg.consume(thread));
-        if blacklisted || demoted {
+        // CAS issued: the request leaves the bank queue, and the modes
+        // count one bank service (which may move a tier).
+        self.dequeue(bank_idx, slot);
+        if self.modes.on_service(req.thread) {
             self.tiers_changed();
         }
         let ts = self.stats.thread_mut(req.thread);
@@ -1640,62 +1310,18 @@ impl MemoryController {
             1 => ts.row_closed += 1,
             _ => ts.row_conflicts += 1,
         }
-        let finish = data_done.expect("CAS commands return a data completion time");
         let completion = Completion {
             id: req.id,
             thread: req.thread,
             kind: req.kind,
             arrival: req.arrival,
-            finish,
+            finish: data_done.expect("CAS commands return a data completion time"),
         };
         match req.kind {
             RequestKind::Read => self.inflight_reads.push(completion),
-            RequestKind::Write => {
-                // Writes complete (from the requester's view) at issue: the
-                // data has left the controller.
-                let buf = &mut self.buffers[req.thread.as_usize()];
-                buf.release_write_data();
-                buf.complete(RequestKind::Write);
-                self.wr_used -= 1;
-                self.tx_used -= 1;
-                let alone = timing.service_closed() + timing.burst;
-                self.slowdown
-                    .record(req.thread.as_u32(), alone, completion.latency());
-                let ts = self.stats.thread_mut(req.thread);
-                ts.writes_completed += 1;
-                ts.alone_cycles_est += alone;
-                ts.shared_cycles += completion.latency();
-                self.note_progress(req.thread, now);
-                if O::ENABLED {
-                    obs.on_event(&Event::Completed {
-                        cycle: now.as_u64(),
-                        thread: req.thread.as_u32(),
-                        id: req.id.as_u64(),
-                        is_write: true,
-                        latency: completion.latency(),
-                        bytes: self.config.line_bytes,
-                        alone_cycles: alone,
-                    });
-                }
-                if let Some(rg) = self.regulate.as_mut() {
-                    if let Some(bound) = rg.wcet_bound(req.thread.as_u32()) {
-                        if completion.latency() > bound {
-                            rg.note_violation();
-                            if O::ENABLED {
-                                obs.on_event(&Event::BoundExceeded {
-                                    cycle: now.as_u64(),
-                                    thread: req.thread.as_u32(),
-                                    id: req.id.as_u64(),
-                                    is_write: true,
-                                    latency: completion.latency(),
-                                    bound,
-                                });
-                            }
-                        }
-                    }
-                }
-                out.push(completion);
-            }
+            // Writes complete (from the requester's view) at issue: the
+            // data has left the controller.
+            RequestKind::Write => self.complete(completion, now, out, obs),
         }
     }
 }
@@ -1763,15 +1389,11 @@ pub(crate) fn get_completion(r: &mut SectionReader<'_>) -> Result<Completion, Sn
 /// * **Serialized**: the DRAM device, every bank queue (requests plus their
 ///   bound VFTs and RAS progress, in admission order), buffer occupancy,
 ///   VTMS registers, in-flight reads, id allocation, statistics, the
-///   command log, fault cursors and cached episode deadlines, watchdog
-///   progress clocks plus the incremental `next_due` trigger, the
-///   inversion-lock edge detectors, the step/skip counters, the slowdown
-///   estimator (SD-VFTF's key scaling depends on it), the BLISS
-///   blacklist (streak, flags, next clearing boundary), the real-time
-///   regulator (token usage, next replenish boundary, violation count),
-///   and the overload layer (hog flags, token usage, saturation level,
-///   window NACK counter, both boundary clocks) — every bit of state a
-///   resumed run's behaviour or reporting depends on.
+///   command log, the inversion-lock edge detectors, the step/skip
+///   counters, the slowdown estimator (SD-VFTF's key scaling depends on
+///   it), and one tagged section per configured mode (fault plan,
+///   watchdog, BLISS, regulation, overload control) — every bit of state a resumed run's behaviour
+///   or reporting depends on.
 /// * **Rebuilt**: configuration (validated via the envelope fingerprint and
 ///   per-field checks), the address map, fault episode *timelines* (a pure
 ///   function of plan and seed, already present in the identically-built
@@ -1782,7 +1404,7 @@ pub(crate) fn get_completion(r: &mut SectionReader<'_>) -> Result<Completion, Sn
 ///   tree, unbound list): re-pushing the serialized admission-order entries
 ///   reconstructs them, and the exactness argument in [`crate::select`]
 ///   guarantees the rebuilt (renumbered) layout selects identically. Tier
-///   placement is re-derived from the restored BLISS and regulator state.
+///   placement is re-derived from the restored modes.
 impl Snapshot for MemoryController {
     fn save(&self, w: &mut SectionWriter) {
         self.dram.save(w);
@@ -1823,38 +1445,8 @@ impl Snapshot for MemoryController {
             w.put_u64(edge);
             w.put_u64(next);
         }
-        w.put_bool(self.fault.is_some());
-        if let Some(f) = &self.fault {
-            f.injector.save(w);
-            w.put_seq_len(f.stall_until.len());
-            for &until in &f.stall_until {
-                w.put_u64(until);
-            }
-            w.put_u64(f.pressure_until);
-        }
-        w.put_bool(self.watchdog.is_some());
-        if let Some(wd) = &self.watchdog {
-            w.put_u64(wd.threshold);
-            w.put_seq_len(wd.last_progress.len());
-            for (&progress, &tripped) in wd.last_progress.iter().zip(&wd.tripped) {
-                w.put_u64(progress.as_u64());
-                w.put_bool(tripped);
-            }
-            w.put_u64(wd.next_due);
-        }
         self.slowdown.save(w);
-        w.put_bool(self.bliss.is_some());
-        if let Some(b) = &self.bliss {
-            b.save(w);
-        }
-        w.put_bool(self.regulate.is_some());
-        if let Some(rg) = &self.regulate {
-            rg.save(w);
-        }
-        w.put_bool(self.overload.is_some());
-        if let Some(ov) = &self.overload {
-            ov.save(w);
-        }
+        self.modes.save(w);
     }
 
     fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
@@ -1871,8 +1463,8 @@ impl Snapshot for MemoryController {
             let len = r.seq_len()?;
             q.clear();
             // Tier placement is derived state: entries land in tier 0
-            // here and move once the BLISS and regulator state below are
-            // read (`tiers_changed` at the end).
+            // here and move once the modes below are read
+            // (`tiers_changed` at the end).
             for _ in 0..len {
                 q.push(get_pending(r)?, 0);
             }
@@ -1907,17 +1499,8 @@ impl Snapshot for MemoryController {
         }
         self.stats.restore(r)?;
         self.last_step = r.get_opt_u64()?.map(DramCycle::new);
-        let has_log = r.get_bool()?;
-        if has_log != self.cmd_log.is_some() {
-            return Err(r.malformed(format!(
-                "snapshot {} a command log, controller {}",
-                if has_log { "carries" } else { "lacks" },
-                if self.cmd_log.is_some() {
-                    "has one"
-                } else {
-                    "has none"
-                }
-            )));
+        if r.get_bool()? != self.cmd_log.is_some() {
+            return Err(r.malformed("snapshot and controller disagree on the command log"));
         }
         if let Some(log) = &mut self.cmd_log {
             log.restore(r)?;
@@ -1939,85 +1522,11 @@ impl Snapshot for MemoryController {
         } else {
             None
         };
-        let has_fault = r.get_bool()?;
-        if has_fault != self.fault.is_some() {
-            return Err(r.malformed(
-                "snapshot and controller disagree on fault-plan attachment".to_string(),
-            ));
-        }
-        if let Some(f) = &mut self.fault {
-            f.injector.restore(r)?;
-            let ns = r.seq_len()?;
-            if ns != f.stall_until.len() {
-                return Err(r.malformed(format!(
-                    "snapshot has {ns} bank-stall deadlines, controller has {}",
-                    f.stall_until.len()
-                )));
-            }
-            for until in &mut f.stall_until {
-                *until = r.get_u64()?;
-            }
-            f.pressure_until = r.get_u64()?;
-            f.drop_scratch.clear();
-        }
-        let has_watchdog = r.get_bool()?;
-        if has_watchdog != self.watchdog.is_some() {
-            return Err(
-                r.malformed("snapshot and controller disagree on watchdog attachment".to_string())
-            );
-        }
-        if let Some(wd) = &mut self.watchdog {
-            let threshold = r.get_u64()?;
-            if threshold != wd.threshold {
-                return Err(r.malformed(format!(
-                    "watchdog threshold {threshold} != configured {}",
-                    wd.threshold
-                )));
-            }
-            let nw = r.seq_len()?;
-            if nw != wd.last_progress.len() {
-                return Err(r.malformed(format!(
-                    "snapshot has {nw} watchdog clocks, controller has {}",
-                    wd.last_progress.len()
-                )));
-            }
-            for t in 0..nw {
-                wd.last_progress[t] = DramCycle::new(r.get_u64()?);
-                wd.tripped[t] = r.get_bool()?;
-            }
-            wd.next_due = r.get_u64()?;
-        }
         self.slowdown.restore(r)?;
-        let has_bliss = r.get_bool()?;
-        if has_bliss != self.bliss.is_some() {
-            return Err(
-                r.malformed("snapshot and controller disagree on the BLISS scheduler".to_string())
-            );
-        }
-        if let Some(b) = &mut self.bliss {
-            b.restore(r)?;
-        }
-        let has_regulate = r.get_bool()?;
-        if has_regulate != self.regulate.is_some() {
-            return Err(r.malformed(
-                "snapshot and controller disagree on real-time regulation".to_string(),
-            ));
-        }
-        if let Some(rg) = &mut self.regulate {
-            rg.restore(r)?;
-        }
-        let has_overload = r.get_bool()?;
-        if has_overload != self.overload.is_some() {
-            return Err(
-                r.malformed("snapshot and controller disagree on overload control".to_string())
-            );
-        }
-        if let Some(ov) = &mut self.overload {
-            ov.restore(r)?;
-        }
+        self.modes.restore(r)?;
         // Derived occupancy counters are recomputed from the restored
         // structures (cheaper to re-derive than to cross-validate), tier
-        // placement is rebuilt from the restored BLISS / regulator state,
+        // placement is rebuilt from the restored modes,
         // and the scheduler memo is dropped: the first post-resume pass
         // recomputes every proposal from live state.
         self.queued = queued;
@@ -2078,44 +1587,25 @@ fn classify(p: &Pending, open_row: Option<RowId>, ready: ReadyClasses) -> (bool,
 
 /// Scheduler context threaded into the bank scheduler.
 ///
-/// * `bliss` is `Some` exactly when BLISS is active: blacklisted threads
-///   rank at [`Priority`] tier 1.
+/// * `modes` supply each thread's priority [`Priority`] tier
+///   ([`Modes::tier`]): BLISS-blacklisted threads and regulated threads
+///   outside their budget rank at tier 1, so every in-budget real-time
+///   request beats every best-effort request at both the bank and channel
+///   schedulers.
 /// * `est` is `Some` exactly when SD-VFTF is active: VFT keys are
 ///   divided by the thread's current slowdown estimate at bind time, so
 ///   the most-slowed-down thread sorts first. Keys are static once bound
 ///   (the estimator only advances on completions), preserving the select
 ///   index invariants.
-/// * `reg` is `Some` exactly when the real-time regulator is active:
-///   threads that are not in budget (best-effort classes and exhausted
-///   real-time buckets) rank at tier 1, so every in-budget real-time
-///   request beats every best-effort request at both the bank and channel
-///   schedulers.
 #[derive(Clone, Copy)]
 struct SchedCtx<'a> {
-    bliss: Option<&'a BlissState>,
+    modes: &'a Modes,
     est: Option<&'a SlowdownEstimator>,
-    reg: Option<&'a RegulatorState>,
 }
 
-impl<'a> SchedCtx<'a> {
-    /// A context carrying only the tier sources.
-    fn tiers(bliss: Option<&'a BlissState>, reg: Option<&'a RegulatorState>) -> Self {
-        SchedCtx {
-            bliss,
-            est: None,
-            reg,
-        }
-    }
-
-    /// The priority tier of `thread`: 1 when BLISS-blacklisted or outside
-    /// its real-time budget, else 0. BLISS and regulation are mutually
-    /// exclusive (`McConfig::validate`), so at most one source demotes.
+impl SchedCtx<'_> {
     fn tier(&self, thread: ThreadId) -> u8 {
-        u8::from(
-            self.bliss
-                .is_some_and(|b| b.is_blacklisted(thread.as_u32()))
-                || self.reg.is_some_and(|r| !r.in_budget(thread.as_u32())),
-        )
+        self.modes.tier(thread)
     }
 }
 

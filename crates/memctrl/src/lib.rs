@@ -50,6 +50,7 @@ pub mod cmdlog;
 pub mod config;
 pub mod controller;
 pub mod engine;
+mod modes;
 pub mod multichannel;
 pub mod overload;
 pub mod policy;

@@ -362,19 +362,7 @@ impl MultiChannelController {
     pub fn thread_stats(&self, thread: ThreadId) -> ThreadStats {
         let mut agg = ThreadStats::default();
         for ch in &self.channels {
-            let s = ch.stats().thread(thread);
-            agg.reads_accepted += s.reads_accepted;
-            agg.writes_accepted += s.writes_accepted;
-            agg.reads_completed += s.reads_completed;
-            agg.writes_completed += s.writes_completed;
-            agg.read_latency_total += s.read_latency_total;
-            agg.bus_busy_cycles += s.bus_busy_cycles;
-            agg.nacks += s.nacks;
-            agg.row_hits += s.row_hits;
-            agg.row_closed += s.row_closed;
-            agg.row_conflicts += s.row_conflicts;
-            agg.requests_dropped += s.requests_dropped;
-            agg.starvations += s.starvations;
+            agg.merge(ch.stats().thread(thread));
         }
         agg
     }
@@ -434,6 +422,7 @@ impl Snapshot for MultiChannelController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OverloadConfig;
     use crate::policy::SchedulerKind;
     use fqms_sim::fault::{FaultKind, FaultWindow};
     use fqms_sim::rng::SimRng;
@@ -560,6 +549,74 @@ mod tests {
         assert_eq!(agg.bus_busy_cycles, m.bus_busy_cycles());
         assert_eq!(m.total_banks(), 16);
         assert!(m.bank_busy_cycles() > 0);
+
+        // A flooded overload run under faults and the watchdog, so every
+        // counter — throttle NACKs, sheds, drops, starvations, the
+        // slowdown terms — is live: each aggregate field is the sum of
+        // the per-channel fields.
+        let mut cfg = McConfig::paper(3, SchedulerKind::FqVftf).with_overload(
+            OverloadConfig::new(3)
+                .throttled(500, 2, 1.0)
+                .shedding(250, 12, 4, 24, 4)
+                .protect(0),
+        );
+        cfg.starvation_threshold = Some(200);
+        let mut m =
+            MultiChannelController::new(2, cfg, Geometry::paper(), TimingParams::ddr2_800())
+                .unwrap();
+        m.set_fault_plan(
+            &FaultPlan::new(3)
+                .with(FaultKind::RequestDrop, FaultWindow::new(0, 6_000), 0.01, 1)
+                .with(FaultKind::BankStall, FaultWindow::new(0, 6_000), 0.002, 400),
+        );
+        let mut rng = SimRng::new(41);
+        for c in 1..=6_000u64 {
+            let now = DramCycle::new(c);
+            for t in 0..3u32 {
+                if rng.chance(if t == 0 { 0.05 } else { 0.6 }) {
+                    let kind = if rng.chance(0.3) {
+                        RequestKind::Write
+                    } else {
+                        RequestKind::Read
+                    };
+                    let _ = m.try_submit(ThreadId::new(t), kind, rng.next_below(1 << 22) * 64, now);
+                }
+            }
+            m.step(now);
+        }
+        // An exhaustive struct literal, so a new field fails to compile
+        // here until it is checked too; each field must also be live.
+        macro_rules! check_fields {
+            ($($field:ident),*) => {
+                let mut live = ThreadStats::default();
+                for t in (0..3).map(ThreadId::new) {
+                    let want = ThreadStats {
+                        $($field: (0..2).map(|ch| m.channel(ch).stats().thread(t).$field).sum()),*
+                    };
+                    assert_eq!(m.thread_stats(t), want, "{t}");
+                    live.merge(&want);
+                }
+                $(assert!(live.$field > 0, concat!(stringify!($field), " never counted"));)*
+            };
+        }
+        check_fields!(
+            reads_accepted,
+            writes_accepted,
+            reads_completed,
+            writes_completed,
+            read_latency_total,
+            bus_busy_cycles,
+            nacks,
+            row_hits,
+            row_closed,
+            row_conflicts,
+            requests_dropped,
+            starvations,
+            throttle_nacks,
+            requests_shed,
+            alone_cycles_est,
+            shared_cycles
+        );
     }
 
     #[test]

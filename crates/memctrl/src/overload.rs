@@ -26,12 +26,11 @@
 //!
 //! Shaped like [`crate::regulate::RegulatorState`] for the same reasons:
 //! knobs fixed at construction, boundary clocks advanced by lazy jumps,
-//! `next_replenish` / `next_window` fed into the controller's
-//! `next_event_cycle` so the event-driven fast path never skips a
-//! boundary (classification reads the estimator *at the boundary cycle*
-//! — skipping one would let an interleaved completion change the hog
-//! set), and a presence-gated snapshot section validated against the
-//! configured knobs on restore so kill-and-resume is bit-identical.
+//! and a snapshot section validated against the configured knobs on
+//! restore. The controller drives it as one of its modes, which steps
+//! both boundaries rather than skipping them (classification reads the
+//! estimator *at the boundary cycle* — skipping one would let an
+//! interleaved completion change the hog set).
 
 use crate::buffers::{Nack, ShedClass};
 use crate::config::{OverloadConfig, RegulationConfig};

@@ -182,10 +182,11 @@ impl MemoryPort for MultiChannelController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::McConfig;
+    use crate::config::{McConfig, OverloadConfig, RegulationConfig};
     use crate::policy::SchedulerKind;
     use fqms_dram::device::Geometry;
     use fqms_dram::timing::TimingParams;
+    use fqms_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 
     fn exercise<P: MemoryPort>(port: &mut P) {
         port.submit(
@@ -219,43 +220,114 @@ mod tests {
         w.into_bytes()
     }
 
+    /// The controller modes the fast-path condition must see through.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        Plain,
+        NackStorm,
+        Throttle,
+        Shed,
+        Watchdog,
+        Regulation,
+        Bliss,
+    }
+
+    /// A controller under `mode` that refuses every later submit of this
+    /// test from thread 0: a NACK storm is on, or two stepped cycles
+    /// classified the thread a hog with no tokens, or its partition is
+    /// full (and, for `Shed`, the ladder walked to `Shedding`).
+    fn refusing(mode: Mode, channels: usize, observed: bool) -> MultiChannelController {
+        let kind = if mode == Mode::Bliss {
+            SchedulerKind::Bliss
+        } else {
+            SchedulerKind::FqVftf
+        };
+        let mut cfg = McConfig::paper(2, kind);
+        match mode {
+            Mode::Throttle => {
+                cfg = cfg.with_overload(OverloadConfig::new(2).throttled(1, 0, 1.0));
+            }
+            Mode::Shed => {
+                cfg = cfg.with_overload(OverloadConfig::new(2).shedding(1, 1, 0, 1_000, 1));
+            }
+            Mode::Watchdog => cfg.starvation_threshold = Some(1),
+            Mode::Regulation => {
+                cfg = cfg
+                    .with_regulation(RegulationConfig::new(10).rt_class(1, Some(5)).best_effort());
+            }
+            _ => {}
+        }
+        let mut mc =
+            MultiChannelController::new(channels, cfg, Geometry::paper(), TimingParams::ddr2_800())
+                .unwrap();
+        if mode == Mode::NackStorm {
+            mc.set_fault_plan(&FaultPlan::new(1).with(
+                FaultKind::NackStorm,
+                FaultWindow::new(0, 100),
+                1.0,
+                100,
+            ));
+        }
+        if observed {
+            mc.enable_observation(256);
+        }
+        let t = ThreadId::new(0);
+        // A NACK storm and the throttle refuse on their own, with room in
+        // the partition; the other modes refuse on a full partition.
+        if !matches!(mode, Mode::NackStorm | Mode::Throttle) {
+            for i in 0..64 {
+                let _ = mc.try_submit(t, RequestKind::Read, i * 64, DramCycle::new(0));
+            }
+        }
+        for c in 1..=2 {
+            mc.step(DramCycle::new(c));
+        }
+        mc
+    }
+
     #[test]
     fn resubmit_refused_equals_refused_submits() {
         let t = ThreadId::new(0);
-        for channels in [1, 2] {
-            for observed in [false, true] {
-                let build = || {
-                    let cfg = McConfig::paper(2, SchedulerKind::FqVftf);
-                    let mut mc = MultiChannelController::new(
-                        channels,
-                        cfg,
-                        Geometry::paper(),
-                        TimingParams::ddr2_800(),
-                    )
-                    .unwrap();
-                    if observed {
-                        mc.enable_observation(256);
+        for mode in [
+            Mode::Plain,
+            Mode::NackStorm,
+            Mode::Throttle,
+            Mode::Shed,
+            Mode::Watchdog,
+            Mode::Regulation,
+            Mode::Bliss,
+        ] {
+            for channels in [1, 2] {
+                for observed in [false, true] {
+                    let ctx = format!("{mode:?}, {channels} channels, observed {observed}");
+                    let (mut bulk, mut plain) = (
+                        refusing(mode, channels, observed),
+                        refusing(mode, channels, observed),
+                    );
+                    let refusals = |m: &MultiChannelController| {
+                        let s = m.thread_stats(t);
+                        s.nacks + s.requests_shed
+                    };
+                    let before = refusals(&bulk);
+                    for (k, kind) in [RequestKind::Write, RequestKind::Read]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        let now = DramCycle::new(3 + k as u64);
+                        MemoryPort::resubmit_refused(&mut bulk, t, kind, 0x4_0040, now, 5);
+                        Plain(&mut plain).resubmit_refused(t, kind, 0x4_0040, now, 5);
                     }
-                    // Fill thread 0's partition on every channel.
-                    for i in 0..64 {
-                        let _ = mc.try_submit(t, RequestKind::Read, i * 64, DramCycle::new(0));
+                    assert_eq!(bulk.thread_stats(t), plain.thread_stats(t), "{ctx}");
+                    assert_eq!(refusals(&bulk), before + 10, "{ctx}");
+                    let s = bulk.thread_stats(t);
+                    match mode {
+                        Mode::Throttle => assert_eq!(s.throttle_nacks, 10, "{ctx}"),
+                        Mode::Shed => assert_eq!(s.requests_shed, 10, "{ctx}"),
+                        _ => assert_eq!(s.throttle_nacks + s.requests_shed, 0, "{ctx}"),
                     }
-                    mc
-                };
-                let (mut bulk, mut plain) = (build(), build());
-                let before = bulk.thread_stats(t).nacks;
-                for (k, kind) in [RequestKind::Write, RequestKind::Read]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let now = DramCycle::new(1 + k as u64);
-                    MemoryPort::resubmit_refused(&mut bulk, t, kind, 0x4_0040, now, 5);
-                    Plain(&mut plain).resubmit_refused(t, kind, 0x4_0040, now, 5);
+                    assert_eq!(bulk.merged_metrics(), plain.merged_metrics(), "{ctx}");
+                    assert!(state(&bulk) == state(&plain), "{ctx}: snapshots differ");
                 }
-                assert_eq!(bulk.thread_stats(t), plain.thread_stats(t));
-                assert_eq!(bulk.thread_stats(t).nacks, before + 10);
-                assert_eq!(bulk.merged_metrics(), plain.merged_metrics());
-                assert!(state(&bulk) == state(&plain), "{channels} channels");
             }
         }
     }

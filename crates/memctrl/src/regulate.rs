@@ -18,9 +18,9 @@
 //! [`RegulatorState`] is the deterministic per-controller state machine
 //! behind those budgets, deliberately shaped like
 //! [`crate::bliss::BlissState`]: knobs fixed at construction, lazy
-//! boundary advance compatible with the event-driven fast path
-//! (`next_replenish` feeds `next_event_cycle`), and a presence-gated
-//! snapshot section validated against the configured knobs on restore.
+//! boundary advance compatible with the event-driven fast path (the
+//! controller steps `next_replenish` as one of its mode boundaries), and
+//! a snapshot section validated against the configured knobs on restore.
 //! The analytic latency bound the mode exists to honour is computed in
 //! [`crate::wcet`]; observed violations are counted here so the release
 //! gate (`rt_wcet.rs`) and the `latency_cdf` figure bin can assert zero.

@@ -52,7 +52,7 @@ pub const MAGIC: [u8; 4] = *b"FQMS";
 
 /// Current snapshot format version. Bump on any layout change; restore
 /// rejects other versions with [`SnapshotError::UnsupportedVersion`].
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Why a snapshot could not be restored. Every variant that concerns a
 /// section carries that section's name, so tooling can report *where*
