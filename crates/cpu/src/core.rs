@@ -29,10 +29,11 @@ use fqms_memctrl::controller::Completion;
 use fqms_memctrl::port::MemoryPort;
 use fqms_memctrl::request::{RequestId, RequestKind, ThreadId};
 use fqms_sim::clock::{CpuCycle, DramCycle};
+use fqms_sim::hash::IntMap;
 use fqms_sim::snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotError};
 use fqms_sim::stats::Histogram;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Configuration of one core (paper Table 5).
@@ -267,8 +268,8 @@ pub struct Core {
     rob_insts: u32,
     next_seq: u64,
     current: Option<CurrentOp>,
-    outstanding: HashMap<RequestId, OutstandingMiss>,
-    mshr_by_line: HashMap<u64, RequestId>,
+    outstanding: IntMap<RequestId, OutstandingMiss>,
+    mshr_by_line: IntMap<u64, RequestId>,
     last_load_miss: Option<RequestId>,
     writeback_q: VecDeque<u64>,
     retired: u64,
@@ -316,8 +317,8 @@ impl Core {
             rob_insts: 0,
             next_seq: 0,
             current: None,
-            outstanding: HashMap::new(),
-            mshr_by_line: HashMap::new(),
+            outstanding: IntMap::default(),
+            mshr_by_line: IntMap::default(),
             last_load_miss: None,
             writeback_q: VecDeque::new(),
             retired: 0,
@@ -821,8 +822,9 @@ impl Core {
                 }
             }
         }
-        // HashMap iteration order is nondeterministic; sort by request id so
-        // identical states always produce identical bytes.
+        // Map iteration order follows the insertion history, not the
+        // state; sort by request id so identical states always produce
+        // identical bytes.
         let mut misses: Vec<(&RequestId, &OutstandingMiss)> = self.outstanding.iter().collect();
         misses.sort_by_key(|(id, _)| id.as_u64());
         w.put_seq_len(misses.len());
@@ -1509,6 +1511,43 @@ mod tests {
             core2.latency_histogram().sum(),
             ref_core.latency_histogram().sum()
         );
+    }
+
+    #[test]
+    fn identically_driven_cores_snapshot_to_equal_bytes() {
+        use fqms_sim::snapshot::{SnapshotReader, SnapshotWriter};
+        let fresh = || {
+            Core::new(
+                CoreConfig::paper(),
+                ThreadId::new(0),
+                Box::new(StridedTrace { i: 0 }),
+            )
+            .unwrap()
+        };
+        let save = |core: &Core| {
+            let mut w = SnapshotWriter::new(1);
+            let mut saved = Ok(());
+            w.section("core", |s| saved = core.save_state(s));
+            saved.unwrap();
+            w.into_bytes()
+        };
+        let driven = || {
+            let mut core = fresh();
+            run_range(&mut core, &mut mc(), 0, 3_000);
+            assert!(
+                core.outstanding.len() > 1,
+                "the snapshot must cover several outstanding misses"
+            );
+            core
+        };
+        let bytes = save(&driven());
+        assert_eq!(bytes, save(&driven()));
+        // Restoring rebuilds the maps from those bytes; saving again
+        // reproduces them.
+        let mut restored = fresh();
+        let mut r = SnapshotReader::new(&bytes, 1).unwrap();
+        r.section("core", |s| restored.restore_state(s)).unwrap();
+        assert_eq!(bytes, save(&restored));
     }
 
     #[test]

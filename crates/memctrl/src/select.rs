@@ -40,8 +40,8 @@
 //! recycled group ids selects identically.
 
 use crate::request::{MemoryRequest, ThreadId};
+use fqms_sim::hash::IntMap;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// A pending request plus its lazily bound virtual finish time.
 #[derive(Debug, Clone, Copy)]
@@ -420,7 +420,7 @@ pub(crate) struct BankQueue {
     /// in both tiers is unmapped and its id (tournament leaf, `None` by
     /// then) recycled through `free_groups`, so the tournaments grow with
     /// the rows *live* in the queue, not every row it ever saw.
-    group_of_row: HashMap<u32, u32>,
+    group_of_row: IntMap<u32, u32>,
     free_groups: Vec<u32>,
     tiers: [TierIndex; 2],
     /// Tier of each keyed slot (indexed by slot).
@@ -439,7 +439,7 @@ impl BankQueue {
             order: Vec::new(),
             order_dead: 0,
             unbound: Vec::new(),
-            group_of_row: HashMap::new(),
+            group_of_row: IntMap::default(),
             free_groups: Vec::new(),
             tiers: Default::default(),
             tier_of: Vec::new(),

@@ -10,6 +10,9 @@
 //! * [`bitset`] — a dense fixed-capacity bit set with ascending-order and
 //!   union iteration, backing the scheduler hot loop's occupancy and
 //!   open-bank masks,
+//! * [`hash`] — a fixed-seed integer hasher for the point-queried maps
+//!   on the hot paths (bank-queue row groups, a core's outstanding
+//!   misses),
 //! * [`stats`] — counters, running statistics, histograms, and the summary
 //!   math (harmonic mean, variance) the paper's evaluation metrics need,
 //! * [`parallel`] — the free-running work-stealing shard executor that runs
@@ -44,6 +47,7 @@
 pub mod bitset;
 pub mod clock;
 pub mod fault;
+pub mod hash;
 pub mod parallel;
 pub mod rng;
 pub mod snapshot;
