@@ -44,92 +44,66 @@ echo "=== release: benchmark replicas == System::run and the engine ==="
 # breaks either equality fails here.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "=== speedup smoke gate: free-run parallel never slower + >=5x over cycle-by-cycle ==="
-# The speedup binary exits nonzero when the free-running parallel engine
-# is slower than serial beyond tolerance at any >=4-channel / >=2-thread
-# sweep point, when the 64-channel QoS-mix speedup over cycle-by-cycle
-# falls below 5x, or when event-driven is ever slower than cycle-by-cycle
-# (see crates/bench/src/bin/speedup.rs; tolerances recorded in the JSON).
-SPEEDUP_TMP="$(mktemp -d)"
-FQMS_RUNLEN=quick FQMS_BENCH_PR3="$SPEEDUP_TMP/BENCH_pr3.json" \
-  FQMS_BENCH_PR8="$SPEEDUP_TMP/BENCH_pr8.json" \
-  cargo run --release -q --offline -p fqms-bench --bin speedup \
-  > "$SPEEDUP_TMP/speedup.tsv" 2> "$SPEEDUP_TMP/speedup.log" || {
-  echo "speedup smoke gate FAILED:"; tail -5 "$SPEEDUP_TMP/speedup.log"
-  rm -rf "$SPEEDUP_TMP"; exit 1; }
-rm -rf "$SPEEDUP_TMP"
-echo "speedup smoke gate OK"
+# Runs one figure binary as a CI gate under FQMS_RUNLEN=quick. Each named
+# FQMS_BENCH_* variable points the binary's JSON record into a temp dir,
+# so the committed BENCH_*.json files are left alone. A binary that exits
+# nonzero fails CI after printing the tail of its log.
+#   gate <bin> <what it checks> [FQMS_BENCH_* variable]...
+gate() {
+  local bin="$1" what="$2" tmp
+  shift 2
+  echo "=== $bin gate: $what ==="
+  tmp="$(mktemp -d)"
+  local env=(FQMS_RUNLEN=quick)
+  for var in "$@"; do env+=("$var=$tmp/$var.json"); done
+  if ! env "${env[@]}" cargo run --release -q --offline -p fqms-bench --bin "$bin" \
+      > "$tmp/$bin.tsv" 2> "$tmp/$bin.log"; then
+    echo "$bin gate FAILED:"; tail -n 12 "$tmp/$bin.log"
+    rm -rf "$tmp"; exit 1
+  fi
+  rm -rf "$tmp"
+  echo "$bin gate OK"
+}
 
-echo "=== frontier smoke gate: fairness ordering + conservation ==="
-# The frontier binary exits nonzero when FQ-VFTF, SD-VFTF or BLISS shows
-# a higher max-slowdown than FR-FCFS on the adversarial mix, or when any
-# scheduler violates conservation (see crates/bench/src/bin/frontier.rs).
-FRONTIER_TMP="$(mktemp -d)"
-FQMS_RUNLEN=quick FQMS_BENCH_PR7="$FRONTIER_TMP/BENCH_pr7.json" \
-  cargo run --release -q --offline -p fqms-bench --bin frontier \
-  > "$FRONTIER_TMP/frontier.tsv" 2> "$FRONTIER_TMP/frontier.log" || {
-  echo "frontier smoke gate FAILED:"; tail -5 "$FRONTIER_TMP/frontier.log"
-  rm -rf "$FRONTIER_TMP"; exit 1; }
-rm -rf "$FRONTIER_TMP"
-echo "frontier smoke gate OK"
+# Exits nonzero when the free-running parallel engine is slower than
+# serial beyond tolerance at any >=4-channel / >=2-thread sweep point,
+# when the 64-channel QoS-mix speedup over cycle-by-cycle falls below 5x,
+# or when event-driven is ever slower than cycle-by-cycle (see
+# crates/bench/src/bin/speedup.rs; tolerances recorded in the JSON).
+gate speedup "free-run parallel never slower + >=5x over cycle-by-cycle" \
+  FQMS_BENCH_PR3 FQMS_BENCH_PR8
 
-echo "=== scaling smoke gate: per-request cost growth + FQ-VFTF fairness ==="
-# The scaling binary exits nonzero when the FQ-VFTF or BLISS per-request
-# scheduler cost grows more than 2x from 64 to 4096 threads on the tiered
-# selection index, or when FQ-VFTF's per-tenant service error exceeds 5%
-# at any scale (see crates/bench/src/bin/scaling.rs).
-SCALING_TMP="$(mktemp -d)"
-FQMS_RUNLEN=quick FQMS_BENCH_PR6="$SCALING_TMP/BENCH_pr6.json" \
-  cargo run --release -q --offline -p fqms-bench --bin scaling \
-  > "$SCALING_TMP/scaling.tsv" 2> "$SCALING_TMP/scaling.log" || {
-  echo "scaling smoke gate FAILED:"; tail -5 "$SCALING_TMP/scaling.log"
-  rm -rf "$SCALING_TMP"; exit 1; }
-rm -rf "$SCALING_TMP"
-echo "scaling smoke gate OK"
+# Exits nonzero when FQ-VFTF, SD-VFTF or BLISS shows a higher max-slowdown
+# than FR-FCFS on the adversarial mix, or when any scheduler violates
+# conservation (see crates/bench/src/bin/frontier.rs).
+gate frontier "fairness ordering + conservation" FQMS_BENCH_PR7
 
-echo "=== latency_cdf smoke gate: no WCET violation + conservation ==="
-# The latency_cdf binary exits nonzero when any regulated real-time
-# completion exceeds its analytic WCET bound (or the controller's own
-# violation counter is nonzero), or when any mode violates conservation
-# (see crates/bench/src/bin/latency_cdf.rs and DESIGN.md §18).
-CDF_TMP="$(mktemp -d)"
-FQMS_RUNLEN=quick FQMS_BENCH_PR9="$CDF_TMP/BENCH_pr9.json" \
-  cargo run --release -q --offline -p fqms-bench --bin latency_cdf \
-  > "$CDF_TMP/latency_cdf.tsv" 2> "$CDF_TMP/latency_cdf.log" || {
-  echo "latency_cdf smoke gate FAILED:"; tail -5 "$CDF_TMP/latency_cdf.log"
-  rm -rf "$CDF_TMP"; exit 1; }
-rm -rf "$CDF_TMP"
-echo "latency_cdf smoke gate OK"
+# Exits nonzero when the FQ-VFTF or BLISS per-request scheduler cost grows
+# more than 2x from 64 to 4096 threads on the tiered selection index, or
+# when FQ-VFTF's per-tenant service error exceeds 5% at any scale (see
+# crates/bench/src/bin/scaling.rs).
+gate scaling "per-request cost growth + FQ-VFTF fairness" FQMS_BENCH_PR6
 
-echo "=== overload smoke gate: flood tail bounded + conservation + control effective ==="
-# The overload binary exits nonzero when the QoS thread's p99 under the
-# streaming flood exceeds the tail factor over its unloaded p99 (or is
-# worse than the uncontrolled flood) with control on, when any cell
-# violates `completed + dropped + rejected + shed + unsubmitted ==
-# submitted`, or when a control-on cell never throttled/shed (see
-# crates/bench/src/bin/overload.rs and DESIGN.md §19).
-OVERLOAD_TMP="$(mktemp -d)"
-FQMS_RUNLEN=quick FQMS_BENCH_PR10="$OVERLOAD_TMP/BENCH_pr10.json" \
-  cargo run --release -q --offline -p fqms-bench --bin overload \
-  > "$OVERLOAD_TMP/overload.tsv" 2> "$OVERLOAD_TMP/overload.log" || {
-  echo "overload smoke gate FAILED:"; tail -5 "$OVERLOAD_TMP/overload.log"
-  rm -rf "$OVERLOAD_TMP"; exit 1; }
-rm -rf "$OVERLOAD_TMP"
-echo "overload smoke gate OK"
+# Exits nonzero when any regulated real-time completion exceeds its
+# analytic WCET bound (or the controller's own violation counter is
+# nonzero), or when any mode violates conservation (see
+# crates/bench/src/bin/latency_cdf.rs and DESIGN.md §18).
+gate latency_cdf "no WCET violation + conservation" FQMS_BENCH_PR9
 
-echo "=== paper gate: the headline claims still hold ==="
-# The headline binary exits nonzero when a claim of the paper's headline
-# table flips: two-core QoS on at least 18 of 19 subjects, a positive
-# two-core average gain over FR-FCFS, no four-core QoS miss, a >= 10x
-# collapse of normalized-utilization variance, or the Fig. 8 WL1
-# ordering inversion (see crates/bench/src/bin/headline.rs).
-HEADLINE_TMP="$(mktemp -d)"
-FQMS_RUNLEN=quick cargo run --release -q --offline -p fqms-bench --bin headline \
-  > "$HEADLINE_TMP/headline.tsv" 2> "$HEADLINE_TMP/headline.log" || {
-  echo "paper gate FAILED:"; grep -E "GATE|panicked" "$HEADLINE_TMP/headline.log"
-  rm -rf "$HEADLINE_TMP"; exit 1; }
-rm -rf "$HEADLINE_TMP"
-echo "paper gate OK"
+# Exits nonzero when the QoS thread's p99 under the streaming flood
+# exceeds the tail factor over its unloaded p99 (or is worse than the
+# uncontrolled flood) with control on, when any cell violates `completed
+# + dropped + rejected + shed + unsubmitted == submitted`, or when a
+# control-on cell never throttled/shed (see crates/bench/src/bin/overload.rs
+# and DESIGN.md §19).
+gate overload "flood tail bounded + conservation + control effective" FQMS_BENCH_PR10
+
+# The paper gate: exits nonzero (printing `GATE FAILED: …`) when a claim of
+# the paper's headline table flips: two-core QoS on at least 18 of 19
+# subjects, a positive two-core average gain over FR-FCFS, no four-core
+# QoS miss, a >= 10x collapse of normalized-utilization variance, or the
+# Fig. 8 WL1 ordering inversion (see crates/bench/src/bin/headline.rs).
+gate headline "the paper's headline claims still hold"
 
 echo "=== doc consistency: every scheduler + figure bin appears in README ==="
 # The README's scheduler family table and figure index drift silently when

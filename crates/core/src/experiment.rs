@@ -10,11 +10,8 @@ use crate::system::SystemBuilder;
 use fqms_memctrl::policy::SchedulerKind;
 use fqms_workloads::profile::WorkloadProfile;
 use fqms_workloads::spec::SPEC_PROFILES;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// How long to simulate: the per-thread instruction target and a hard
 /// cycle bound (so pathological configurations cannot hang a sweep).
@@ -77,9 +74,6 @@ pub fn solo_sweep(len: RunLength, seed: u64) -> Vec<ThreadMetrics> {
 /// self-contained and internally deterministic, every result — is
 /// independent of thread count and interleaving.
 ///
-/// For sweeps that must survive a failing job, see
-/// [`run_jobs_resilient`].
-///
 /// # Example
 ///
 /// ```
@@ -119,228 +113,6 @@ where
     results
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("every job ran"))
-        .collect()
-}
-
-/// Per-job retry/timeout policy for [`run_jobs_resilient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobPolicy {
-    /// Total attempts per job (first try included); must be at least 1.
-    pub attempts: u32,
-    /// Wall-clock budget per attempt. `None` lets an attempt run forever
-    /// (panic isolation only — no watchdog thread is spawned).
-    pub timeout: Option<Duration>,
-    /// Pause before the first retry; doubles per retry.
-    pub backoff_start: Duration,
-    /// Ceiling on the retry pause.
-    pub backoff_cap: Duration,
-}
-
-impl JobPolicy {
-    /// One attempt, no timeout: [`run_jobs`] semantics except that a
-    /// panicking job yields an `Err` instead of poisoning the sweep.
-    pub fn fail_fast() -> Self {
-        JobPolicy {
-            attempts: 1,
-            timeout: None,
-            backoff_start: Duration::from_millis(0),
-            backoff_cap: Duration::from_millis(0),
-        }
-    }
-
-    /// `attempts` tries per job, each bounded by `timeout`, with retries
-    /// backing off from 100 ms up to 2 s.
-    pub fn resilient(attempts: u32, timeout: Duration) -> Self {
-        JobPolicy {
-            attempts: attempts.max(1),
-            timeout: Some(timeout),
-            backoff_start: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(2),
-        }
-    }
-
-    /// Pause before retry number `retry` (1-based): capped exponential.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.saturating_sub(1).min(16);
-        self.backoff_start
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
-}
-
-/// Why a job in a resilient sweep produced no result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobFailure {
-    /// Every attempt panicked; carries the final panic message.
-    Panicked {
-        /// Attempts consumed (== the policy's `attempts`).
-        attempts: u32,
-        /// Panic payload of the last attempt, stringified.
-        message: String,
-    },
-    /// Every attempt hit the per-attempt wall-clock budget.
-    TimedOut {
-        /// Attempts consumed (== the policy's `attempts`).
-        attempts: u32,
-        /// The per-attempt budget that was exceeded.
-        timeout: Duration,
-    },
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobFailure::Panicked { attempts, message } => {
-                write!(f, "panicked after {attempts} attempt(s): {message}")
-            }
-            JobFailure::TimedOut { attempts, timeout } => {
-                write!(f, "timed out after {attempts} attempt(s) of {timeout:?}")
-            }
-        }
-    }
-}
-
-/// One attempt's outcome, before the retry loop decides what to do next.
-enum Attempt<T> {
-    Ok(T),
-    Panicked(String),
-    TimedOut,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs job `i` once, catching panics; with a timeout the attempt runs on
-/// a dedicated thread that is *detached* (leaked, never joined) if it
-/// overruns — a wedged simulation must not wedge the sweep. The attempt
-/// thread only touches its own `Arc` clone of the job list, so detaching
-/// is safe; its eventual result (if any) is dropped with the channel.
-fn run_attempt<T, F>(jobs: &Arc<Vec<F>>, i: usize, timeout: Option<Duration>) -> Attempt<T>
-where
-    T: Send + 'static,
-    F: Fn() -> T + Send + Sync + 'static,
-{
-    match timeout {
-        None => match catch_unwind(AssertUnwindSafe(|| jobs[i]())) {
-            Ok(v) => Attempt::Ok(v),
-            Err(p) => Attempt::Panicked(panic_message(p)),
-        },
-        Some(budget) => {
-            let (tx, rx) = mpsc::channel();
-            let jobs = Arc::clone(jobs);
-            let spawned = std::thread::Builder::new()
-                .name(format!("fqms-job-{i}"))
-                .spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| jobs[i]()));
-                    let _ = tx.send(out);
-                });
-            if spawned.is_err() {
-                return Attempt::Panicked("failed to spawn attempt thread".into());
-            }
-            match rx.recv_timeout(budget) {
-                Ok(Ok(v)) => Attempt::Ok(v),
-                Ok(Err(p)) => Attempt::Panicked(panic_message(p)),
-                Err(RecvTimeoutError::Timeout) => Attempt::TimedOut,
-                Err(RecvTimeoutError::Disconnected) => {
-                    Attempt::Panicked("attempt thread vanished".into())
-                }
-            }
-        }
-    }
-}
-
-/// Fault-tolerant [`run_jobs`]: every job is isolated with
-/// [`std::panic::catch_unwind`], optionally bounded by a per-attempt
-/// wall-clock timeout, and retried with capped exponential backoff. The
-/// sweep always returns a full-length, input-ordered vector — failed jobs
-/// yield `Err(`[`JobFailure`]`)` while every other result is reported
-/// (partial results instead of an all-or-nothing panic).
-///
-/// Jobs must be `Fn` (not `FnOnce`) so they can be retried, and
-/// `'static` because a timed-out attempt's thread is detached and may
-/// outlive the sweep. Successful sweeps remain bit-identical to
-/// [`run_jobs`] on the same inputs.
-///
-/// # Example
-///
-/// ```
-/// use fqms::experiment::{run_jobs_resilient, JobPolicy};
-///
-/// let jobs: Vec<_> = (0u64..4)
-///     .map(|i| move || if i == 2 { panic!("job {i} lost its config") } else { i * 10 })
-///     .collect();
-/// let out = run_jobs_resilient(jobs, 2, JobPolicy::fail_fast());
-/// assert_eq!(out[0], Ok(0));
-/// assert_eq!(out[1], Ok(10));
-/// assert!(out[2].as_ref().is_err_and(|e| e.to_string().contains("lost its config")));
-/// assert_eq!(out[3], Ok(30));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `num_threads` is zero or `policy.attempts` is zero — never
-/// because a *job* panicked.
-pub fn run_jobs_resilient<T, F>(
-    jobs: Vec<F>,
-    num_threads: usize,
-    policy: JobPolicy,
-) -> Vec<Result<T, JobFailure>>
-where
-    T: Send + 'static,
-    F: Fn() -> T + Send + Sync + 'static,
-{
-    assert!(num_threads > 0, "need at least one worker thread");
-    assert!(policy.attempts > 0, "need at least one attempt per job");
-    let n = jobs.len();
-    let jobs = Arc::new(jobs);
-    let results: Vec<Mutex<Option<Result<T, JobFailure>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..num_threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut verdict = None;
-                for attempt in 1..=policy.attempts {
-                    match run_attempt(&jobs, i, policy.timeout) {
-                        Attempt::Ok(v) => {
-                            verdict = Some(Ok(v));
-                            break;
-                        }
-                        Attempt::Panicked(message) => {
-                            verdict = Some(Err(JobFailure::Panicked {
-                                attempts: attempt,
-                                message,
-                            }));
-                        }
-                        Attempt::TimedOut => {
-                            verdict = Some(Err(JobFailure::TimedOut {
-                                attempts: attempt,
-                                timeout: policy.timeout.unwrap_or_default(),
-                            }));
-                        }
-                    }
-                    if attempt < policy.attempts {
-                        std::thread::sleep(policy.backoff(attempt));
-                    }
-                }
-                *results[i].lock().unwrap() = verdict;
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every job was decided"))
         .collect()
 }
 
@@ -452,116 +224,6 @@ mod tests {
         for threads in [2, 4] {
             assert_eq!(solo_sweep_parallel(len, 11, threads), serial);
         }
-    }
-
-    #[test]
-    fn resilient_sweep_reports_partial_results_on_panic() {
-        // One poisoned job must not take the sweep (or its siblings) down:
-        // every other slot still carries its result, in input order.
-        let jobs: Vec<_> = (0u64..9)
-            .map(|i| {
-                move || {
-                    assert!(i != 4, "job {i} exploded");
-                    i * 3
-                }
-            })
-            .collect();
-        for threads in [1, 3, 8] {
-            let jobs = jobs.clone();
-            let out = run_jobs_resilient(jobs, threads, JobPolicy::fail_fast());
-            assert_eq!(out.len(), 9);
-            for (i, slot) in out.iter().enumerate() {
-                if i == 4 {
-                    let err = slot.as_ref().unwrap_err();
-                    assert!(
-                        matches!(
-                            err,
-                            JobFailure::Panicked { attempts: 1, message } if message.contains("job 4 exploded")
-                        ),
-                        "unexpected failure: {err}"
-                    );
-                } else {
-                    assert_eq!(*slot, Ok(i as u64 * 3), "slot {i} out of order");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resilient_sweep_times_out_wedged_jobs() {
-        // Job 1 wedges (sleeps far past the budget); the sweep must carry
-        // on, report the timeout, and still return the other results.
-        let jobs: Vec<_> = (0u64..3)
-            .map(|i| {
-                move || {
-                    if i == 1 {
-                        std::thread::sleep(Duration::from_secs(30));
-                    }
-                    i + 100
-                }
-            })
-            .collect();
-        let policy = JobPolicy {
-            attempts: 1,
-            timeout: Some(Duration::from_millis(50)),
-            backoff_start: Duration::from_millis(0),
-            backoff_cap: Duration::from_millis(0),
-        };
-        let out = run_jobs_resilient(jobs, 2, policy);
-        assert_eq!(out[0], Ok(100));
-        assert!(matches!(
-            out[1],
-            Err(JobFailure::TimedOut { attempts: 1, .. })
-        ));
-        assert_eq!(out[2], Ok(102));
-    }
-
-    #[test]
-    fn resilient_sweep_retries_transient_failures() {
-        // A job that fails twice then succeeds: with three attempts the
-        // sweep recovers; the capped backoff never reverses a success.
-        let flaky_calls = Arc::new(AtomicUsize::new(0));
-        let calls = Arc::clone(&flaky_calls);
-        let jobs: Vec<Box<dyn Fn() -> u64 + Send + Sync>> = vec![
-            Box::new(|| 7),
-            Box::new(move || {
-                let n = calls.fetch_add(1, Ordering::SeqCst);
-                assert!(n >= 2, "transient fault");
-                99
-            }),
-        ];
-        let mut policy = JobPolicy::resilient(3, Duration::from_secs(10));
-        policy.backoff_start = Duration::from_millis(1);
-        policy.backoff_cap = Duration::from_millis(2);
-        let out = run_jobs_resilient(jobs, 2, policy);
-        assert_eq!(out, vec![Ok(7), Ok(99)]);
-        assert_eq!(flaky_calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let policy = JobPolicy {
-            attempts: 5,
-            timeout: None,
-            backoff_start: Duration::from_millis(100),
-            backoff_cap: Duration::from_millis(350),
-        };
-        assert_eq!(policy.backoff(1), Duration::from_millis(100));
-        assert_eq!(policy.backoff(2), Duration::from_millis(200));
-        assert_eq!(policy.backoff(3), Duration::from_millis(350));
-        assert_eq!(policy.backoff(4), Duration::from_millis(350));
-    }
-
-    #[test]
-    fn resilient_sweep_matches_plain_sweep_when_healthy() {
-        let mk = || (0u64..12).map(|i| move || i.pow(2)).collect::<Vec<_>>();
-        let plain = run_jobs(mk(), 4);
-        let resilient: Vec<u64> =
-            run_jobs_resilient(mk(), 4, JobPolicy::resilient(2, Duration::from_secs(30)))
-                .into_iter()
-                .map(Result::unwrap)
-                .collect();
-        assert_eq!(plain, resilient);
     }
 
     #[test]

@@ -42,13 +42,14 @@ pub fn skip_rate() -> f64 {
     }
 }
 
-/// Cumulative parallel-executor activity for this process (worker peak,
-/// steals, free-run spans, barrier waits), re-exported from the executor
-/// itself: the counters live in [`fqms_sim::parallel`] because `fqms-sim`
-/// sits below this crate, but figure binaries read them from here
-/// alongside [`controller_cycles`]. Surfaced as `#parallel_*` lines in
-/// `results/<bin>.log` so executor regressions (a steal storm, a
-/// reappearing barrier) are diagnosable from sweep logs.
+/// Cumulative executor activity for this process (worker peak, steals,
+/// free-run spans) over every engine run, serial (one worker) included,
+/// re-exported from the executor itself: the counters live in
+/// [`fqms_sim::parallel`] because `fqms-sim` sits below this crate, but
+/// figure binaries read them from here alongside [`controller_cycles`].
+/// Surfaced as `#parallel_*` lines in `results/<bin>.log` so executor
+/// regressions (a steal storm, a collapsed worker count) are diagnosable
+/// from sweep logs.
 pub fn parallel_exec() -> fqms_sim::parallel::ExecCounters {
     fqms_sim::parallel::exec_counters()
 }

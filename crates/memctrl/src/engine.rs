@@ -7,12 +7,14 @@
 //! module pre-routes an *open-loop submission schedule* (a time-ordered
 //! list of [`SubmitEvent`]s) onto per-channel [`ChannelShard`]s and drives
 //! them with the free-running work-stealing executor from
-//! [`fqms_sim::parallel`] — either serially ([`simulate_serial`]) or
-//! across worker threads ([`simulate_parallel`]). Checkpointed runs have
-//! parallel counterparts too: [`simulate_parallel_checkpointed`] captures bytes
-//! identical to [`simulate_serial_checkpointed`]'s, and
-//! [`resume_parallel`] resumes them to a report bit-identical to the
-//! uninterrupted serial run.
+//! [`fqms_sim::parallel`]. Every entry point is one executor call: a fresh
+//! run ([`simulate_serial`], [`simulate_parallel`]), a fresh run cut at a
+//! kill cycle ([`simulate_serial_checkpointed`],
+//! [`simulate_parallel_checkpointed`]), or a resume whose first window per
+//! shard is the rest of the interrupted epoch ([`resume_serial`],
+//! [`resume_parallel`]). A serial run is the same call with one worker.
+//! Parallel checkpoints are byte-identical to serial ones, and either
+//! resumes to a report bit-identical to the uninterrupted serial run.
 //!
 //! # Determinism guarantee
 //!
@@ -52,7 +54,7 @@ use fqms_dram::timing::TimingParams;
 use fqms_obs::{Event, NullObserver, Observations, Observer, TracingObserver};
 use fqms_sim::clock::DramCycle;
 use fqms_sim::fault::FaultPlan;
-use fqms_sim::parallel::{for_each_shard, run_parallel, run_serial, Shard};
+use fqms_sim::parallel::{run_windows, FreeRunReport, Shard, STEAL_QUANTUM_EPOCHS};
 use fqms_sim::rng::SimRng;
 use fqms_sim::snapshot::{
     Fingerprint, SectionReader, SectionWriter, Snapshot, SnapshotError, SnapshotReader,
@@ -136,8 +138,8 @@ pub struct EngineSpec {
     pub geometry: Geometry,
     /// DRAM timing parameters.
     pub timing: TimingParams,
-    /// Cycles per epoch between barriers (bounds cross-shard skew; has no
-    /// effect on results, only on scheduling granularity).
+    /// Cycles per epoch window the executor steps each shard through (has
+    /// no effect on results, only on scheduling granularity).
     pub epoch_cycles: u64,
     /// Hard cycle bound: the run stops here even if shards still hold
     /// work (safety net against schedules that can never drain).
@@ -481,7 +483,12 @@ fn build_shards(spec: &EngineSpec, events: &[SubmitEvent]) -> Result<Vec<Channel
     Ok(shards)
 }
 
-fn merge(spec: &EngineSpec, shards: Vec<ChannelShard>, cycles: u64) -> EngineReport {
+/// Closes every channel at `cycles` and assembles the report in
+/// channel-index order.
+fn merge(spec: &EngineSpec, mut shards: Vec<ChannelShard>, cycles: u64) -> EngineReport {
+    for shard in &mut shards {
+        shard.mc.finish(DramCycle::new(cycles));
+    }
     let threads = spec.config.num_threads();
     let mut per_thread = vec![ThreadStats::default(); threads];
     let mut completions = Vec::with_capacity(shards.len());
@@ -703,43 +710,7 @@ pub fn simulate_serial_checkpointed(
     events: &[SubmitEvent],
     kill_at: u64,
 ) -> Result<Vec<u8>, String> {
-    if kill_at == 0 || kill_at > spec.max_cycles {
-        return Err(format!(
-            "kill cycle {kill_at} outside (0, {}]",
-            spec.max_cycles
-        ));
-    }
-    let mut shards = build_shards(spec, events)?;
-    let mut done = vec![false; shards.len()];
-    let mut remaining = shards.len();
-    let mut start = 0u64;
-    while start < spec.max_cycles && remaining > 0 {
-        let end = spec.max_cycles.min(start + spec.epoch_cycles);
-        if kill_at <= end {
-            // The kill cycle falls inside this epoch: advance every live
-            // shard to it, capture the checkpoint, and stop. The epoch's
-            // activity flags are *not* updated — they are only decidable
-            // at the true epoch boundary, which the resume reaches.
-            for (i, shard) in shards.iter_mut().enumerate() {
-                if !done[i] {
-                    shard.run_epoch(start, kill_at);
-                }
-            }
-            return Ok(write_checkpoint(
-                spec, events, &shards, kill_at, start, end, &done,
-            ));
-        }
-        for (i, shard) in shards.iter_mut().enumerate() {
-            if !done[i] && !shard.run_epoch(start, end) {
-                done[i] = true;
-                remaining -= 1;
-            }
-        }
-        start = end;
-    }
-    Err(format!(
-        "run drained at cycle {start}, before kill cycle {kill_at}"
-    ))
+    checkpoint(spec, events, kill_at, 1)
 }
 
 /// Serializes a mid-epoch engine checkpoint: the epoch bookkeeping
@@ -851,32 +822,7 @@ pub fn resume_serial(
     events: &[SubmitEvent],
     bytes: &[u8],
 ) -> Result<EngineReport, ResumeError> {
-    let (mut shards, kill_at, epoch_end, mut done) = restore_checkpoint(spec, events, bytes)?;
-
-    // Finish the interrupted epoch from the kill cycle, then continue the
-    // standard epoch loop — exactly `run_serial`'s bookkeeping.
-    let mut remaining = done.iter().filter(|&&d| !d).count();
-    for (i, shard) in shards.iter_mut().enumerate() {
-        if !done[i] && !shard.run_epoch(kill_at, epoch_end) {
-            done[i] = true;
-            remaining -= 1;
-        }
-    }
-    let mut start = epoch_end;
-    while start < spec.max_cycles && remaining > 0 {
-        let end = spec.max_cycles.min(start + spec.epoch_cycles);
-        for (i, shard) in shards.iter_mut().enumerate() {
-            if !done[i] && !shard.run_epoch(start, end) {
-                done[i] = true;
-                remaining -= 1;
-            }
-        }
-        start = end;
-    }
-    for shard in &mut shards {
-        shard.mc.finish(DramCycle::new(start));
-    }
-    Ok(merge(spec, shards, start))
+    resume(spec, events, bytes, 1)
 }
 
 /// Runs the schedule on the calling thread, one channel after another per
@@ -887,12 +833,7 @@ pub fn resume_serial(
 /// Returns a description if the spec is invalid or the schedule is not
 /// sorted by cycle.
 pub fn simulate_serial(spec: &EngineSpec, events: &[SubmitEvent]) -> Result<EngineReport, String> {
-    let mut shards = build_shards(spec, events)?;
-    let cycles = run_serial(&mut shards, spec.max_cycles, spec.epoch_cycles);
-    for shard in &mut shards {
-        shard.mc.finish(DramCycle::new(cycles));
-    }
-    Ok(merge(spec, shards, cycles))
+    simulate(spec, events, 1)
 }
 
 /// Runs the schedule with channels sharded across `num_threads` workers.
@@ -908,15 +849,7 @@ pub fn simulate_parallel(
     events: &[SubmitEvent],
     num_threads: usize,
 ) -> Result<EngineReport, String> {
-    if num_threads == 0 {
-        return Err("at least one worker thread is required".into());
-    }
-    let mut shards = build_shards(spec, events)?;
-    let cycles = run_parallel(&mut shards, spec.max_cycles, spec.epoch_cycles, num_threads);
-    for shard in &mut shards {
-        shard.mc.finish(DramCycle::new(cycles));
-    }
-    Ok(merge(spec, shards, cycles))
+    simulate(spec, events, num_threads)
 }
 
 /// [`simulate_serial_checkpointed`] with the per-shard work spread across
@@ -938,8 +871,76 @@ pub fn simulate_parallel_checkpointed(
     kill_at: u64,
     num_threads: usize,
 ) -> Result<Vec<u8>, String> {
-    if num_threads == 0 {
-        return Err("at least one worker thread is required".into());
+    checkpoint(spec, events, kill_at, num_threads)
+}
+
+/// Resumes a checkpoint (from either the serial or the parallel
+/// checkpointed run — the bytes are identical) with the remaining work
+/// spread across `num_threads` workers, producing an [`EngineReport`]
+/// **bit-identical** to the uninterrupted [`simulate_serial`] run.
+///
+/// # Errors
+///
+/// Same conditions as [`resume_serial`], plus [`ResumeError::Spec`] if
+/// `num_threads` is zero.
+pub fn resume_parallel(
+    spec: &EngineSpec,
+    events: &[SubmitEvent],
+    bytes: &[u8],
+    num_threads: usize,
+) -> Result<EngineReport, ResumeError> {
+    resume(spec, events, bytes, num_threads)
+}
+
+const NO_WORKERS: &str = "at least one worker thread is required";
+
+/// The one executor call behind every engine run: shard `i` runs
+/// `first[i]`, then whole epochs up to `horizon`. One worker advances a
+/// shard one epoch per claim, so the queue walks shards round-robin in
+/// the serial run's epoch-major order; more workers use the stealing
+/// quantum.
+fn execute(
+    spec: &EngineSpec,
+    shards: &mut [ChannelShard],
+    first: &[Option<(u64, u64)>],
+    horizon: u64,
+    workers: usize,
+) -> FreeRunReport {
+    let quantum = if workers == 1 {
+        1
+    } else {
+        STEAL_QUANTUM_EPOCHS
+    };
+    run_windows(shards, first, horizon, spec.epoch_cycles, workers, quantum)
+}
+
+/// A fresh run to `max_cycles`; it ends at the last epoch end any shard
+/// reached.
+fn simulate(
+    spec: &EngineSpec,
+    events: &[SubmitEvent],
+    workers: usize,
+) -> Result<EngineReport, String> {
+    if workers == 0 {
+        return Err(NO_WORKERS.into());
+    }
+    let mut shards = build_shards(spec, events)?;
+    let first = vec![Some((0, spec.epoch_cycles.min(spec.max_cycles))); shards.len()];
+    let cycles = execute(spec, &mut shards, &first, spec.max_cycles, workers).reached;
+    Ok(merge(spec, shards, cycles))
+}
+
+/// A fresh run cut at `kill_at`. A shard counts as drained only if it
+/// drained before the kill epoch: drainage inside that epoch is decided
+/// at the epoch's true end, which the resume reaches.
+fn checkpoint(
+    spec: &EngineSpec,
+    events: &[SubmitEvent],
+    kill_at: u64,
+    workers: usize,
+) -> Result<Vec<u8>, String> {
+    if workers == 0 {
+        return Err(NO_WORKERS.into());
     }
     if kill_at == 0 || kill_at > spec.max_cycles {
         return Err(format!(
@@ -948,34 +949,17 @@ pub fn simulate_parallel_checkpointed(
         ));
     }
     let mut shards = build_shards(spec, events)?;
-    // Per-shard epoch walk, identical windows to the serial loop: a shard
-    // runs full epochs (updating its activity flag) until the epoch whose
-    // end reaches `kill_at`, which it runs only up to the kill cycle,
-    // leaving the flag for that epoch undecided — exactly what the serial
-    // checkpointed run records.
-    let outcomes = for_each_shard(&mut shards, num_threads, |_idx, shard| {
-        let mut start = 0u64;
-        loop {
-            let end = spec.max_cycles.min(start + spec.epoch_cycles);
-            if kill_at <= end {
-                shard.run_epoch(start, kill_at);
-                return (false, 0u64);
-            }
-            if !shard.run_epoch(start, end) {
-                // Drained: never stepped again, so the kill epoch (which
-                // always exists, kill_at <= max_cycles) is not reached.
-                return (true, end);
-            }
-            start = end;
-        }
-    });
-    let done: Vec<bool> = outcomes.iter().map(|&(d, _)| d).collect();
+    let first = vec![Some((0, spec.epoch_cycles.min(kill_at))); shards.len()];
+    let run = execute(spec, &mut shards, &first, kill_at, workers);
+    let done: Vec<bool> = run
+        .shards
+        .iter()
+        .map(|&(reached, drained)| drained && reached < kill_at)
+        .collect();
     if done.iter().all(|&d| d) {
-        // All shards drained before the kill epoch: the serial loop stops
-        // at the end of the epoch in which the last one drained.
-        let drained_at = outcomes.iter().map(|&(_, end)| end).max().unwrap_or(0);
         return Err(format!(
-            "run drained at cycle {drained_at}, before kill cycle {kill_at}"
+            "run drained at cycle {}, before kill cycle {kill_at}",
+            run.reached
         ));
     }
     let epoch_start = (kill_at - 1) / spec.epoch_cycles * spec.epoch_cycles;
@@ -991,55 +975,25 @@ pub fn simulate_parallel_checkpointed(
     ))
 }
 
-/// Resumes a checkpoint (from either the serial or the parallel
-/// checkpointed run — the bytes are identical) with the remaining work
-/// spread across `num_threads` workers, producing an [`EngineReport`]
-/// **bit-identical** to the uninterrupted [`simulate_serial`] run.
-///
-/// Each live shard finishes its interrupted epoch from the kill cycle and
-/// then free-runs through the standard epoch windows to its own drain (or
-/// `max_cycles`); the run's final cycle is the maximum over shards, the
-/// same value the serial epoch loop reaches.
-///
-/// # Errors
-///
-/// Same conditions as [`resume_serial`], plus [`ResumeError::Spec`] if
-/// `num_threads` is zero.
-pub fn resume_parallel(
+/// Resumes a checkpoint: each live shard finishes its interrupted epoch
+/// `(kill_at, epoch_end]` (empty when the kill fell on the epoch end) and
+/// then runs whole epochs to its own drain or `max_cycles`.
+fn resume(
     spec: &EngineSpec,
     events: &[SubmitEvent],
     bytes: &[u8],
-    num_threads: usize,
+    workers: usize,
 ) -> Result<EngineReport, ResumeError> {
-    if num_threads == 0 {
-        return Err(ResumeError::Spec(
-            "at least one worker thread is required".into(),
-        ));
+    if workers == 0 {
+        return Err(ResumeError::Spec(NO_WORKERS.into()));
     }
     let (mut shards, kill_at, epoch_end, done) = restore_checkpoint(spec, events, bytes)?;
-    let ends = for_each_shard(&mut shards, num_threads, |idx, shard| {
-        if done[idx] {
-            return epoch_end;
-        }
-        if !shard.run_epoch(kill_at, epoch_end) {
-            return epoch_end;
-        }
-        let mut start = epoch_end;
-        while start < spec.max_cycles {
-            let end = spec.max_cycles.min(start + spec.epoch_cycles);
-            let alive = shard.run_epoch(start, end);
-            start = end;
-            if !alive {
-                break;
-            }
-        }
-        start
-    });
-    let cycles = ends.into_iter().max().unwrap_or(epoch_end);
-    for shard in &mut shards {
-        shard.mc.finish(DramCycle::new(cycles));
-    }
-    Ok(merge(spec, shards, cycles))
+    let first: Vec<_> = done
+        .iter()
+        .map(|&d| (!d).then_some((kill_at, epoch_end)))
+        .collect();
+    let run = execute(spec, &mut shards, &first, spec.max_cycles, workers);
+    Ok(merge(spec, shards, epoch_end.max(run.reached)))
 }
 
 /// Generates a deterministic open-loop submission schedule: each of

@@ -173,12 +173,6 @@ impl MultiChannelController {
         }
     }
 
-    /// Decomposes the controller into its per-channel controllers (in
-    /// channel order), e.g. to shard them across worker threads.
-    pub fn into_channels(self) -> Vec<MemoryController> {
-        self.channels
-    }
-
     /// True if the routing channel would admit this request.
     pub fn can_accept(&self, thread: ThreadId, kind: RequestKind, phys: u64) -> bool {
         self.channels[self.route(phys)].can_accept(thread, kind)
@@ -274,26 +268,6 @@ impl MultiChannelController {
             ev.consider(ch.next_event_cycle(now));
         }
         ev.earliest()
-    }
-
-    /// Advances every channel from cycle `from` (exclusive) to `to`
-    /// (inclusive) with event-driven fast-forward, channel by channel.
-    ///
-    /// Only sound when no submissions occur inside the window (the caller
-    /// knows its next arrival, exactly like the sharded engine). Each
-    /// channel's completions land in `out` grouped by channel rather than
-    /// interleaved by cycle — callers that need cycle-interleaved order
-    /// must use [`MultiChannelController::step_into`] per cycle.
-    pub fn tick_until(&mut self, from: DramCycle, to: DramCycle, out: &mut Vec<Completion>) {
-        if self.observers.is_empty() {
-            for ch in &mut self.channels {
-                ch.tick_until(from, to, out);
-            }
-        } else {
-            for (ch, obs) in self.channels.iter_mut().zip(&mut self.observers) {
-                ch.tick_until_observed(from, to, out, obs);
-            }
-        }
     }
 
     /// Accounts cycles `(last, to]` as fast-forwarded on every channel,

@@ -88,8 +88,10 @@ fn kill_and_resume_is_bit_identical_across_the_config_matrix() {
                 let reference = simulate_serial(&spec, &events).unwrap();
                 let ctx = format!("{scheduler:?}/{refresh:?}/faults={}", plan.is_some());
                 // Early, mid-epoch, exactly-on-epoch-boundary, and late
-                // kills; all must be invisible after resume.
-                for kill_at in [97, 1_500, 2_048, reference.cycles - 311] {
+                // kills, plus a kill at the boundary where the run drains
+                // (the resume's interrupted window is empty); all must be
+                // invisible after resume.
+                for kill_at in [97, 1_500, 2_048, reference.cycles - 311, reference.cycles] {
                     let bytes = simulate_serial_checkpointed(&spec, &events, kill_at)
                         .unwrap_or_else(|e| panic!("{ctx}: checkpoint at {kill_at}: {e}"));
                     let resumed = resume_serial(&spec, &events, &bytes)

@@ -57,8 +57,8 @@ pub use bitset::DenseBitSet;
 pub use clock::{ClockDomains, CpuCycle, DramCycle};
 pub use fault::{Episode, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow};
 pub use parallel::{
-    exec_counters, for_each_shard, run_free, run_parallel, run_serial, ExecCounters, FreeRunReport,
-    Shard, WorkerStats,
+    exec_counters, run_free, run_serial, run_windows, ExecCounters, FreeRunReport, Shard,
+    WorkerStats,
 };
 pub use rng::SimRng;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

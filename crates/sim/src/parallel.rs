@@ -4,27 +4,35 @@
 //! DDR2 channel with its bank schedulers, VTMS bookkeeping, and command
 //! log) that can be advanced over a half-open window of cycles without
 //! reference to any other shard. Because shards share nothing, the *final*
-//! state of each shard depends only on the sequence of epoch windows it is
-//! stepped through — never on when other shards run. The executors below
-//! all drive every shard through the identical window sequence
-//! `(0, e], (e, 2e], …` that [`run_serial`] uses, so parallel runs are
-//! bit-identical to serial runs by construction, whatever the thread
+//! state of each shard depends only on the sequence of windows it is
+//! stepped through — never on when other shards run.
+//!
+//! [`run_windows`] is the one executor. Shard `i` first runs its own
+//! window `first[i]` (which may be empty, or `None` for a shard that is
+//! already drained and is never stepped), then whole epochs
+//! `(end, end + e], …` up to the horizon. A fresh run ([`run_free`]) gives
+//! every shard the first window `(0, e]`, so every shard sees the window
+//! sequence `(0, e], (e, 2e], …` that [`run_serial`] uses; a resumed run
+//! gives each live shard the rest of its interrupted epoch. Either way the
+//! windows a shard sees are fixed before the run starts, so parallel runs
+//! are bit-identical to serial runs by construction, whatever the thread
 //! count, epoch length, scheduling order, or work-stealing history.
 //!
-//! [`run_free`] (behind [`run_parallel`]) is **free-running**: each
-//! shard advances to its own event horizon with no cross-shard
-//! synchronisation at all. Shards live in a shared claim queue; workers
-//! repeatedly claim a shard, advance it a *quantum* of epochs, and
-//! requeue it, so 16–64 channels load-balance over fewer worker threads
-//! (claiming a shard last advanced by a different worker is a *steal*).
-//! The only sync points are the ones the caller retains: result merge
-//! after the run, and any checkpoint/fault boundary the caller encodes
-//! into `horizon`. Epoch handoff is allocation-free — the claim queue is
-//! built once and tasks are recycled through it. [`run_serial`] is the
-//! reference every parallel run must equal.
+//! The executor is **free-running**: each shard advances to its own event
+//! horizon with no cross-shard synchronisation at all. Shards live in a
+//! shared claim queue; workers repeatedly claim a shard, advance it a
+//! *quantum* of epochs, and requeue it, so 16–64 channels load-balance
+//! over fewer worker threads (claiming a shard last advanced by a
+//! different worker is a *steal*). With one worker and a one-epoch quantum
+//! the queue visits shards round-robin, which is [`run_serial`]'s
+//! epoch-major order. The only sync points are the ones the caller
+//! retains: result merge after the run, and any checkpoint/fault boundary
+//! the caller encodes into `horizon`. Epoch handoff is allocation-free —
+//! the claim queue is built once and tasks are recycled through it.
 //!
-//! [`run_serial`] and [`run_free`] both leave the shards in place (in
-//! their original order) so the caller can merge per-shard results
+//! [`run_serial`] is the test oracle every executor run must equal; no
+//! production path calls it. Both leave the shards in place (in their
+//! original order) so the caller can merge per-shard results
 //! deterministically afterwards. Executor activity (worker counts,
 //! steals, free-run spans) accumulates into process-wide counters
 //! readable via [`exec_counters`].
@@ -32,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use fqms_sim::parallel::{run_parallel, run_serial, Shard};
+//! use fqms_sim::parallel::{run_free, run_serial, Shard, STEAL_QUANTUM_EPOCHS};
 //!
 //! struct Counter { ticks: u64, budget: u64 }
 //! impl Shard for Counter {
@@ -49,7 +57,7 @@
 //! let mut b: Vec<Counter> =
 //!     (1..=4).map(|i| Counter { ticks: 0, budget: i * 10 }).collect();
 //! run_serial(&mut a, 1_000, 16);
-//! run_parallel(&mut b, 1_000, 16, 3);
+//! run_free(&mut b, 1_000, 16, 3, STEAL_QUANTUM_EPOCHS);
 //! for (x, y) in a.iter().zip(&b) {
 //!     assert_eq!(x.ticks, y.ticks);
 //! }
@@ -124,17 +132,20 @@ pub struct WorkerStats {
     pub free_run_spans: u64,
 }
 
-/// Outcome of one [`run_free`] invocation.
+/// Outcome of one [`run_windows`] (or [`run_free`]) invocation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FreeRunReport {
     /// The cycle the run reached: the maximum over shards of the final
-    /// epoch-window end (equals [`run_serial`]'s return on the same
-    /// inputs).
+    /// window end (equals [`run_serial`]'s return on the same inputs).
     pub reached: u64,
-    /// Worker threads actually used (≤ requested, ≤ shard count).
+    /// Worker threads actually used (≤ requested, ≤ stepped shards).
     pub workers: usize,
     /// Per-worker activity, indexed by worker id.
     pub per_worker: Vec<WorkerStats>,
+    /// Per shard, in shard order: the end of the last window it ran, and
+    /// whether it drained there (`(0, true)` for a shard given no first
+    /// window).
+    pub shards: Vec<(u64, bool)>,
 }
 
 impl FreeRunReport {
@@ -162,7 +173,8 @@ fn check_args(horizon: u64, epoch_cycles: u64) {
 }
 
 /// Advances every shard to `horizon` cycles (or until all shards drain) on
-/// the calling thread, one epoch at a time.
+/// the calling thread, one epoch at a time: the reference the executor is
+/// tested against.
 ///
 /// Returns the cycle the run actually reached (a multiple of
 /// `epoch_cycles`, capped at `horizon`; 0 when there are no shards).
@@ -188,33 +200,25 @@ pub fn run_serial<S: Shard>(shards: &mut [S], horizon: u64, epoch_cycles: u64) -
     start
 }
 
-/// One claimable unit of work: a shard plus its private clock and the id
-/// of the worker that last advanced it (for steal accounting).
+/// One claimable unit of work: a shard, its index, the next window it
+/// runs, and the id of the worker that last advanced it (for steal
+/// accounting).
 struct Task<'a, S> {
     shard: &'a mut S,
-    start: u64,
+    idx: usize,
+    window: (u64, u64),
     owner: Option<usize>,
 }
 
-/// Advances every shard to `horizon` cycles (or until it drains) with no
-/// cross-shard synchronisation: workers claim shards from a shared queue,
-/// advance them up to `quantum_epochs` epoch windows, and requeue
-/// unfinished ones, so shards load-balance across workers (claiming a
-/// shard last advanced by a different worker counts as a steal).
-///
-/// Every shard is stepped through the exact window sequence
-/// `(0, e], (e, 2e], …` capped at `horizon` that [`run_serial`] uses and
-/// is never stepped by two workers at once, so final shard states are
-/// bit-identical to the serial run regardless of claim order. A
-/// `quantum_epochs` of zero means "run to completion without requeueing"
-/// (no stealing after the first claim).
+/// A fresh run: [`run_windows`] with every shard's first window
+/// `(0, min(epoch_cycles, horizon)]`, so every shard is stepped through
+/// the window sequence `(0, e], (e, 2e], …` capped at `horizon` that
+/// [`run_serial`] uses, and final shard states are bit-identical to the
+/// serial run.
 ///
 /// # Panics
 ///
-/// Panics if `horizon`, `epoch_cycles`, or `num_threads` is zero. A panic
-/// inside a shard's `run_epoch` is caught, all workers wind down promptly
-/// (no deadlock), and the first panic payload is re-raised on the calling
-/// thread after every worker has stopped.
+/// As [`run_windows`].
 pub fn run_free<S: Shard>(
     shards: &mut [S],
     horizon: u64,
@@ -222,30 +226,83 @@ pub fn run_free<S: Shard>(
     num_threads: usize,
     quantum_epochs: u64,
 ) -> FreeRunReport {
+    let first = vec![Some((0, epoch_cycles.min(horizon))); shards.len()];
+    run_windows(
+        shards,
+        &first,
+        horizon,
+        epoch_cycles,
+        num_threads,
+        quantum_epochs,
+    )
+}
+
+/// Advances every shard to `horizon` cycles (or until it drains) with no
+/// cross-shard synchronisation. Shard `i` first runs `first[i]` — a
+/// window `(start, end]` that may be empty — then whole epochs
+/// `(end, end + epoch_cycles], …` capped at `horizon`; a `None` shard is
+/// already drained and is never stepped. Workers claim shards from a
+/// shared queue, advance them up to `quantum_epochs` windows, and requeue
+/// unfinished ones, so shards load-balance across workers (claiming a
+/// shard last advanced by a different worker counts as a steal).
+///
+/// A shard is never stepped by two workers at once and its window
+/// sequence does not depend on claim order, so final shard states are
+/// bit-identical whatever the thread count or quantum. A
+/// `quantum_epochs` of zero means "run to completion without requeueing"
+/// (no stealing after the first claim).
+///
+/// # Panics
+///
+/// Panics if `horizon`, `epoch_cycles`, or `num_threads` is zero, if
+/// `first` does not hold one entry per shard, or if a first window is
+/// reversed or ends past `horizon`. A panic inside a shard's `run_epoch`
+/// is caught, all workers wind down promptly (no deadlock), and the first
+/// panic payload is re-raised on the calling thread after every worker
+/// has stopped.
+pub fn run_windows<S: Shard>(
+    shards: &mut [S],
+    first: &[Option<(u64, u64)>],
+    horizon: u64,
+    epoch_cycles: u64,
+    num_threads: usize,
+    quantum_epochs: u64,
+) -> FreeRunReport {
     check_args(horizon, epoch_cycles);
     assert!(num_threads > 0, "need at least one worker thread");
-    if shards.is_empty() {
-        return FreeRunReport::default();
-    }
-    let workers = num_threads.min(shards.len());
-    let num_shards = shards.len();
-
-    let queue: Mutex<VecDeque<Task<'_, S>>> = Mutex::new(
-        shards
-            .iter_mut()
-            .map(|shard| Task {
+    assert_eq!(first.len(), shards.len(), "one first window per shard");
+    let tasks: VecDeque<Task<'_, S>> = shards
+        .iter_mut()
+        .zip(first)
+        .enumerate()
+        .filter_map(|(idx, (shard, &window))| {
+            let (start, end) = window?;
+            assert!(
+                start <= end && end <= horizon,
+                "first window ({start}, {end}] outside (0, {horizon}]"
+            );
+            Some(Task {
                 shard,
-                start: 0,
+                idx,
+                window: (start, end),
                 owner: None,
             })
-            .collect(),
-    );
+        })
+        .collect();
+    if tasks.is_empty() {
+        return FreeRunReport {
+            shards: vec![(0, true); first.len()],
+            ..FreeRunReport::default()
+        };
+    }
+    let workers = num_threads.min(tasks.len());
+    let outcomes = Mutex::new(vec![(0u64, true); first.len()]);
     // Tasks not yet finished (drained or at horizon). Termination: a task
     // is requeued *before* this drops, so pending == 0 implies the queue
     // is empty and stays empty — workers spin-yield on an empty queue
     // until then.
-    let pending = AtomicUsize::new(num_shards);
-    let reached = AtomicU64::new(0);
+    let pending = AtomicUsize::new(tasks.len());
+    let queue = Mutex::new(tasks);
     let panicked = AtomicBool::new(false);
     let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
@@ -265,37 +322,36 @@ pub fn run_free<S: Shard>(
                 stats.steals += 1;
             }
             task.owner = Some(me);
-            let mut drained = false;
             let mut spans = 0u64;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                while task.start < horizon {
-                    let end = horizon.min(task.start + epoch_cycles);
-                    let alive = task.shard.run_epoch(task.start, end);
-                    task.start = end;
-                    spans += 1;
-                    if !alive {
-                        drained = true;
-                        break;
-                    }
-                    if quantum_epochs != 0 && spans >= quantum_epochs {
-                        break;
-                    }
+            // `Some(drained)` once the shard is finished, `None` when the
+            // quantum is spent first.
+            let outcome = catch_unwind(AssertUnwindSafe(|| loop {
+                let (start, end) = task.window;
+                let alive = task.shard.run_epoch(start, end);
+                spans += 1;
+                if !alive || end >= horizon {
+                    return Some(!alive);
+                }
+                task.window = (end, horizon.min(end + epoch_cycles));
+                if quantum_epochs != 0 && spans >= quantum_epochs {
+                    return None;
                 }
             }));
             stats.free_run_spans += spans;
-            if let Err(payload) = outcome {
-                let mut slot = lock(&panic_payload);
-                if slot.is_none() {
-                    *slot = Some(payload);
+            match outcome {
+                Err(payload) => {
+                    let mut slot = lock(&panic_payload);
+                    if slot.is_none() {
+                        *slot = Some(payload);
+                    }
+                    panicked.store(true, Ordering::Release);
+                    break 'claims;
                 }
-                panicked.store(true, Ordering::Release);
-                break 'claims;
-            }
-            if drained || task.start >= horizon {
-                reached.fetch_max(task.start, Ordering::AcqRel);
-                pending.fetch_sub(1, Ordering::AcqRel);
-            } else {
-                lock(&queue).push_back(task);
+                Ok(Some(drained)) => {
+                    lock(&outcomes)[task.idx] = (task.window.1, drained);
+                    pending.fetch_sub(1, Ordering::AcqRel);
+                }
+                Ok(None) => lock(&queue).push_back(task),
             }
         }
         stats
@@ -326,133 +382,17 @@ pub fn run_free<S: Shard>(
     let steals: u64 = per_worker.iter().map(|w| w.steals).sum();
     let spans: u64 = per_worker.iter().map(|w| w.free_run_spans).sum();
     note_run(workers, steals, spans);
+    let shards = outcomes.into_inner().unwrap_or_else(|e| e.into_inner());
     FreeRunReport {
-        reached: reached.load(Ordering::Acquire),
+        reached: shards
+            .iter()
+            .map(|&(reached, _)| reached)
+            .max()
+            .unwrap_or(0),
         workers,
         per_worker,
-    }
-}
-
-/// Advances every shard to `horizon` cycles (or until all shards drain)
-/// using `num_threads` free-running worker threads (see [`run_free`]).
-///
-/// Shards never exchange cycle-level state, so no shard ever needs to wait
-/// for another between the sync points the caller retains (result merge,
-/// checkpoint cycles, fault-plan horizons); the final shard states are
-/// bit-identical to [`run_serial`] on the same inputs.
-///
-/// Returns the cycle the run actually reached.
-///
-/// # Panics
-///
-/// Panics if `horizon`, `epoch_cycles`, or `num_threads` is zero, or if a
-/// shard panics (the payload is propagated after all workers stop).
-pub fn run_parallel<S: Shard>(
-    shards: &mut [S],
-    horizon: u64,
-    epoch_cycles: u64,
-    num_threads: usize,
-) -> u64 {
-    check_args(horizon, epoch_cycles);
-    assert!(num_threads > 0, "need at least one worker thread");
-    if num_threads.min(shards.len()) <= 1 {
-        // One worker (or none) free-runs by definition; skip the queue
-        // machinery.
-        return run_serial(shards, horizon, epoch_cycles);
-    }
-    run_free(
         shards,
-        horizon,
-        epoch_cycles,
-        num_threads,
-        STEAL_QUANTUM_EPOCHS,
-    )
-    .reached
-}
-
-/// Runs `f` once per shard across `num_threads` workers and returns the
-/// results in shard order. Used for parallel phases whose unit of work is
-/// a whole shard rather than an epoch window (checkpoint capture, resume
-/// of an interrupted epoch): each shard is claimed by exactly one worker,
-/// so results are deterministic whatever the claim interleaving.
-///
-/// # Panics
-///
-/// Panics if a call to `f` panics: remaining workers stop claiming and the
-/// first payload is re-raised on the calling thread after all workers
-/// stop.
-pub fn for_each_shard<S, R, F>(shards: &mut [S], num_threads: usize, f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    let n = shards.len();
-    if n == 0 {
-        return Vec::new();
     }
-    let workers = num_threads.max(1).min(n);
-    if workers == 1 {
-        return shards
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| f(i, s))
-            .collect();
-    }
-    let cells: Vec<Mutex<Option<(usize, &mut S)>>> = shards
-        .iter_mut()
-        .enumerate()
-        .map(|(i, s)| Mutex::new(Some((i, s))))
-        .collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let panicked = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-    let worker_loop = || {
-        while !panicked.load(Ordering::Acquire) {
-            let slot = next.fetch_add(1, Ordering::AcqRel);
-            if slot >= n {
-                break;
-            }
-            let Some((idx, shard)) = lock(&cells[slot]).take() else {
-                continue;
-            };
-            match catch_unwind(AssertUnwindSafe(|| f(idx, shard))) {
-                Ok(r) => *lock(&results[idx]) = Some(r),
-                Err(payload) => {
-                    let mut p = lock(&panic_payload);
-                    if p.is_none() {
-                        *p = Some(payload);
-                    }
-                    panicked.store(true, Ordering::Release);
-                    break;
-                }
-            }
-        }
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker_loop)).collect();
-        worker_loop();
-        for h in handles {
-            h.join().expect("for_each_shard worker crashed");
-        }
-    });
-    if panicked.load(Ordering::Acquire) {
-        let payload = lock(&panic_payload)
-            .take()
-            .expect("panic flag set without payload");
-        resume_unwind(payload);
-    }
-    note_run(workers, 0, 0);
-    results
-        .into_iter()
-        .map(|r| {
-            lock(&r)
-                .take()
-                .expect("worker finished without storing a result")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -491,7 +431,7 @@ mod tests {
             let mut serial: Vec<Recorder> = (0..7).map(|i| Recorder::new(50 + i * 37)).collect();
             let mut parallel: Vec<Recorder> = (0..7).map(|i| Recorder::new(50 + i * 37)).collect();
             let a = run_serial(&mut serial, 10_000, 64);
-            let b = run_parallel(&mut parallel, 10_000, 64, threads);
+            let b = run_free(&mut parallel, 10_000, 64, threads, STEAL_QUANTUM_EPOCHS).reached;
             assert_eq!(a, b, "{threads} threads: reached different cycles");
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.windows, p.windows, "{threads} threads");
@@ -517,7 +457,7 @@ mod tests {
     #[test]
     fn early_exit_when_all_shards_drain() {
         let mut shards: Vec<Recorder> = (0..4).map(|_| Recorder::new(100)).collect();
-        let reached = run_parallel(&mut shards, 1_000_000, 32, 2);
+        let reached = run_free(&mut shards, 1_000_000, 32, 2, STEAL_QUANTUM_EPOCHS).reached;
         // Budget 100 at epoch 32 drains during the 4th epoch.
         assert_eq!(reached, 128);
         for s in &shards {
@@ -536,7 +476,7 @@ mod tests {
     #[test]
     fn drained_shards_are_not_restepped() {
         let mut shards = vec![Recorder::new(10), Recorder::new(1_000)];
-        run_parallel(&mut shards, 2_000, 100, 2);
+        run_free(&mut shards, 2_000, 100, 2, STEAL_QUANTUM_EPOCHS);
         assert_eq!(shards[0].windows.len(), 1, "drained shard kept stepping");
         assert_eq!(shards[1].windows.len(), 10);
     }
@@ -544,7 +484,7 @@ mod tests {
     #[test]
     fn more_threads_than_shards_is_fine() {
         let mut shards = vec![Recorder::new(100)];
-        let reached = run_parallel(&mut shards, 1_000, 64, 8);
+        let reached = run_free(&mut shards, 1_000, 64, 8, STEAL_QUANTUM_EPOCHS).reached;
         assert_eq!(reached, 128);
     }
 
@@ -553,7 +493,6 @@ mod tests {
         // No shard ran, so no executor reached any cycle.
         let mut shards: Vec<Recorder> = Vec::new();
         assert_eq!(run_serial(&mut shards, 100, 10), 0);
-        assert_eq!(run_parallel(&mut shards, 100, 10, 4), 0);
         assert_eq!(run_free(&mut shards, 100, 10, 4, 2).reached, 0);
     }
 
@@ -570,18 +509,51 @@ mod tests {
     }
 
     #[test]
-    fn for_each_shard_preserves_order() {
-        for threads in [1usize, 2, 5] {
-            let mut shards: Vec<u64> = (0..9).collect();
-            let out = for_each_shard(&mut shards, threads, |i, s| {
-                *s += 100;
-                (i as u64, *s)
-            });
-            for (i, (idx, val)) in out.iter().enumerate() {
-                assert_eq!(*idx, i as u64);
-                assert_eq!(*val, i as u64 + 100);
-            }
+    fn first_windows_precede_whole_epochs() {
+        for threads in [1usize, 2, 3] {
+            let mut shards = vec![
+                Recorder::new(1_000),
+                Recorder::new(10),
+                Recorder::new(1_000),
+            ];
+            // Shard 0 resumes mid-epoch, shard 1 is already drained, and
+            // shard 2's first window is empty (killed at an epoch end).
+            let first = [Some((40, 64)), None, Some((64, 64))];
+            let rep = run_windows(&mut shards, &first, 200, 64, threads, 1);
+            assert_eq!(
+                shards[0].windows,
+                vec![(40, 64), (64, 128), (128, 192), (192, 200)]
+            );
+            assert!(shards[1].windows.is_empty(), "a None shard was stepped");
+            assert_eq!(
+                shards[2].windows,
+                vec![(64, 64), (64, 128), (128, 192), (192, 200)]
+            );
+            assert_eq!(rep.shards, vec![(200, false), (0, true), (200, false)]);
+            assert_eq!(rep.reached, 200);
+            assert_eq!(rep.workers, threads.min(2));
         }
+    }
+
+    #[test]
+    fn drain_in_the_first_window_ends_the_shard() {
+        let mut shards = vec![Recorder::new(5), Recorder::new(100)];
+        let first = [Some((90, 128)), Some((128, 128))];
+        let rep = run_windows(&mut shards, &first, 1_000, 64, 2, STEAL_QUANTUM_EPOCHS);
+        assert_eq!(shards[0].windows, vec![(90, 128)]);
+        assert_eq!(shards[1].windows, vec![(128, 128), (128, 192), (192, 256)]);
+        assert_eq!(rep.shards, vec![(128, true), (256, true)]);
+        assert_eq!(rep.reached, 256);
+    }
+
+    #[test]
+    fn all_drained_shards_run_nothing() {
+        let mut shards = vec![Recorder::new(10), Recorder::new(10)];
+        let rep = run_windows(&mut shards, &[None, None], 100, 10, 4, 1);
+        assert_eq!(rep.workers, 0);
+        assert_eq!(rep.reached, 0);
+        assert_eq!(rep.shards, vec![(0, true), (0, true)]);
+        assert!(shards.iter().all(|s| s.windows.is_empty()));
     }
 
     #[test]
